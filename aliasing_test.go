@@ -10,6 +10,7 @@ import (
 	"hidinglcp/internal/decoders"
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/nbhd"
+	"hidinglcp/internal/obs"
 	"hidinglcp/internal/view"
 )
 
@@ -40,7 +41,7 @@ func ngFingerprint(ng *nbhd.NGraph) string {
 func TestBuildResultAliasing(t *testing.T) {
 	s := decoders.DegreeOne()
 	build := func() *nbhd.NGraph {
-		ng, err := nbhd.Build(s.Decoder, nbhd.AllLabelings(decoders.DegOneAlphabet(), decoders.DegOneFamily(3)...))
+		ng, err := nbhd.Build(nil, obs.Scope{}, s.Decoder, nbhd.AllLabelings(decoders.DegOneAlphabet(), decoders.DegOneFamily(3)...), 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -163,13 +163,14 @@ func BenchmarkDecoders(b *testing.B) {
 }
 
 // BenchmarkNeighborhoodGraph measures V(D, n) slice construction — the
-// Lemma 3.1 algorithm — at two scales, plus the worker-pool ablation.
+// Lemma 3.1 algorithm — at two scales with one sequential builder, plus
+// the shard/worker ablation.
 func BenchmarkNeighborhoodGraph(b *testing.B) {
 	s := decoders.DegreeOne()
 	b.Run("degree-one/n3", func(b *testing.B) {
 		fam := decoders.DegOneFamily(3)
 		for i := 0; i < b.N; i++ {
-			if _, err := nbhd.Build(s.Decoder, nbhd.AllLabelings(decoders.DegOneAlphabet(), fam...)); err != nil {
+			if _, err := nbhd.Build(nil, obs.Scope{}, s.Decoder, nbhd.AllLabelings(decoders.DegOneAlphabet(), fam...), 1, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -177,7 +178,7 @@ func BenchmarkNeighborhoodGraph(b *testing.B) {
 	b.Run("degree-one/n4", func(b *testing.B) {
 		fam := decoders.DegOneFamily(4)
 		for i := 0; i < b.N; i++ {
-			if _, err := nbhd.Build(s.Decoder, nbhd.AllLabelings(decoders.DegOneAlphabet(), fam...)); err != nil {
+			if _, err := nbhd.Build(nil, obs.Scope{}, s.Decoder, nbhd.AllLabelings(decoders.DegOneAlphabet(), fam...), 1, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -185,7 +186,7 @@ func BenchmarkNeighborhoodGraph(b *testing.B) {
 	b.Run("degree-one/n4-parallel", func(b *testing.B) {
 		fam := decoders.DegOneFamily(4)
 		for i := 0; i < b.N; i++ {
-			if _, err := nbhd.BuildParallel(s.Decoder, nbhd.ShardedAllLabelings(decoders.DegOneAlphabet(), fam...), 0); err != nil {
+			if _, err := nbhd.Build(nil, obs.Scope{}, s.Decoder, nbhd.AllLabelings(decoders.DegOneAlphabet(), fam...), 0, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -194,7 +195,7 @@ func BenchmarkNeighborhoodGraph(b *testing.B) {
 		b.Run(fmt.Sprintf("degree-one/n4-sharded-w%d", w), func(b *testing.B) {
 			fam := decoders.DegOneFamily(4)
 			for i := 0; i < b.N; i++ {
-				if _, err := nbhd.BuildSharded(s.Decoder, nbhd.ShardedAllLabelings(decoders.DegOneAlphabet(), fam...), 4*w, w); err != nil {
+				if _, err := nbhd.Build(nil, obs.Scope{}, s.Decoder, nbhd.AllLabelings(decoders.DegOneAlphabet(), fam...), 4*w, w); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -203,18 +204,18 @@ func BenchmarkNeighborhoodGraph(b *testing.B) {
 }
 
 // BenchmarkBuildShardedCtx pins the context plumbing at no measurable
-// overhead: the bare build (nil never-cancelled context, the historical
-// path) against the same build under a live context that never fires
+// overhead: the bare build (nil never-cancelled context) against the same
+// build under a live context that never fires
 // (one armed watcher goroutine; the per-instance hot path is unchanged —
 // cancellation rides the stop flag workers already poll). The bench gate
 // tracks both via .bench-thresholds.json.
 func BenchmarkBuildShardedCtx(b *testing.B) {
 	s := decoders.DegreeOne()
 	fam := decoders.DegOneFamily(4)
-	se := nbhd.ShardedAllLabelings(decoders.DegOneAlphabet(), fam...)
+	se := nbhd.AllLabelings(decoders.DegOneAlphabet(), fam...)
 	b.Run("bare", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := nbhd.BuildSharded(s.Decoder, se, 8, 2); err != nil {
+			if _, err := nbhd.Build(nil, obs.Scope{}, s.Decoder, se, 8, 2); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -223,7 +224,7 @@ func BenchmarkBuildShardedCtx(b *testing.B) {
 		ctx, stop := context.WithCancel(context.Background())
 		defer stop()
 		for i := 0; i < b.N; i++ {
-			if _, err := nbhd.BuildShardedCtx(ctx, obs.Scope{}, s.Decoder, se, 8, 2); err != nil {
+			if _, err := nbhd.Build(ctx, obs.Scope{}, s.Decoder, se, 8, 2); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -236,7 +237,7 @@ func BenchmarkBuildShardedCtx(b *testing.B) {
 // single-shard baseline.
 func BenchmarkShardedEnumeration(b *testing.B) {
 	fam := decoders.DegOneFamily(4)
-	se := nbhd.ShardedAllLabelings(decoders.DegOneAlphabet(), fam...)
+	se := nbhd.AllLabelings(decoders.DegOneAlphabet(), fam...)
 	want, err := nbhd.CountInstances(se, 1, 1)
 	if err != nil {
 		b.Fatal(err)
@@ -273,7 +274,7 @@ func BenchmarkKColoring(b *testing.B) {
 			return true
 		})
 	}
-	ng, err := nbhd.Build(s.Decoder, nbhd.AllLabelings(decoders.DegOneKAlphabet(3), insts...))
+	ng, err := nbhd.Build(nil, obs.Scope{}, s.Decoder, nbhd.AllLabelings(decoders.DegOneKAlphabet(3), insts...), 1, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -308,7 +309,7 @@ func BenchmarkSoundnessSearch(b *testing.B) {
 	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("exhaustive-4^7-parallel-w%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := core.ExhaustiveStrongSoundnessParallel(s.Decoder, s.Promise.Lang, big, decoders.DegOneAlphabet(), 4*w, w); err != nil {
+				if err := core.ExhaustiveStrongSoundnessParallelCtx(nil, obs.Scope{}, s.Decoder, s.Promise.Lang, big, decoders.DegOneAlphabet(), 4*w, w); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -316,21 +317,14 @@ func BenchmarkSoundnessSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulator ablates goroutine-per-node vs sequential round-loop
-// scheduling for view gathering (DESIGN.md Section 4).
+// BenchmarkSimulator measures fault-free view gathering on the
+// round-synchronized scheduler (goroutine per node, zero fault plan).
 func BenchmarkSimulator(b *testing.B) {
 	g := graph.Grid(8, 8)
 	l := core.MustNewLabeled(core.NewInstance(g), make([]string, g.N()))
 	b.Run("goroutines", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := sim.Gather(l, 2); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := sim.GatherSequential(l, 2); err != nil {
+			if _, _, _, err := sim.GatherFaultsCtx(nil, obs.Scope{}, l, 2, faults.Plan{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -345,7 +339,7 @@ func BenchmarkGatherFaults(b *testing.B) {
 	plan := faults.Plan{Seed: 7, Drop: 0.1, Duplicate: 0.1, Delay: 0.2, MaxDelay: 2, Reorder: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := sim.GatherFaults(l, 2, plan); err != nil {
+		if _, _, _, err := sim.GatherFaultsCtx(nil, obs.Scope{}, l, 2, plan); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -377,7 +371,7 @@ func BenchmarkRunScheme(b *testing.B) {
 func BenchmarkNGraphIndexOfView(b *testing.B) {
 	s := decoders.DegreeOne()
 	fam := decoders.DegOneFamily(3)
-	ng, err := nbhd.Build(s.Decoder, nbhd.AllLabelings(decoders.DegOneAlphabet(), fam...))
+	ng, err := nbhd.Build(nil, obs.Scope{}, s.Decoder, nbhd.AllLabelings(decoders.DegOneAlphabet(), fam...), 1, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	experiments [-run e04 | -only E4] [-list] [-shards N] [-workers N]
+//	experiments [-run e04] [-list] [-shards N] [-workers N]
 //	            [-timeout 5m] [-deadline 2026-08-07T17:30:00Z]
 //	            [-metrics-json out.json] [-trace trace.json] [-progress] [-pprof addr]
 //	            [-faults spec] [-crash spec] [-seed N]
@@ -40,8 +40,7 @@ import (
 )
 
 func main() {
-	only := flag.String("only", "", "run a single experiment by ID (e.g. E3)")
-	runID := flag.String("run", "", "run a single experiment by ID, case/zero-insensitive (e.g. e04)")
+	runID := flag.String("run", "", "run a single experiment by ID, case/zero-insensitive (e.g. e04, E4, 4)")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	shards := flag.Int("shards", 0, "shard count for the parallel search/build phases (0 = 4 per worker)")
 	workers := flag.Int("workers", 0, "worker count for the parallel search/build phases (0 = GOMAXPROCS)")
@@ -57,10 +56,7 @@ func main() {
 		os.Exit(1)
 	}
 	experiments.SetFaultPlan(plan)
-	sel := *only
-	if *runID != "" {
-		sel = engine.NormalizeExperimentID(*runID)
-	}
+	sel := engine.NormalizeExperimentID(*runID)
 	ctx, stop, err := runFlags.Context()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)

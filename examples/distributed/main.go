@@ -7,12 +7,15 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/decoders"
+	"hidinglcp/internal/faults"
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/obs"
 	"hidinglcp/internal/sim"
 )
 
@@ -45,7 +48,7 @@ func main() {
 	const victim = 7
 	labels[victim] = decoders.ShatterCompLabel(99, 1, 0) // wrong shatter identifier
 	l := core.MustNewLabeled(inst, labels)
-	views, _, err := sim.Gather(l, scheme.Decoder.Rounds())
+	views, _, _, err := sim.GatherFaultsCtx(context.Background(), obs.Scope{}, l, scheme.Decoder.Rounds(), faults.Plan{})
 	if err != nil {
 		log.Fatal(err)
 	}

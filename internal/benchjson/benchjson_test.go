@@ -36,9 +36,13 @@ func TestParse(t *testing.T) {
 	if e3.Iterations != 2 || e3.NsPerOp != 102806824 || e3.AllocsPerOp != 1738803 {
 		t.Fatalf("E3 parsed wrong: %+v", e3)
 	}
-	// The -8 GOMAXPROCS suffix must be stripped.
-	if _, ok := byName["BenchmarkViewExtract"]; !ok {
-		t.Fatalf("GOMAXPROCS suffix not stripped: %v", byName)
+	// The -8 GOMAXPROCS suffix must be split off the name into Procs; no
+	// suffix means GOMAXPROCS=1.
+	if ve, ok := byName["BenchmarkViewExtract"]; !ok || ve.Procs != 8 {
+		t.Fatalf("GOMAXPROCS suffix not split into procs: %v", byName)
+	}
+	if e3.Procs != 1 {
+		t.Fatalf("unsuffixed benchmark has procs %d, want 1", e3.Procs)
 	}
 	if sub, ok := byName["BenchmarkViewKey/with-ids"]; !ok || sub.NsPerOp != 6437 {
 		t.Fatalf("sub-benchmark parsed wrong: %+v", sub)

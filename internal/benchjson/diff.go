@@ -3,6 +3,7 @@ package benchjson
 import (
 	"fmt"
 	"io"
+	"strings"
 )
 
 // Limits bounds the acceptable new/old ratio per metric for one benchmark.
@@ -71,10 +72,28 @@ func (r Regression) String() string {
 // only in cur are reported as new and never regress; benchmarks only in old
 // regress with Metric "missing", so a gate cannot pass by deleting its
 // benchmark.
+//
+// Results are paired by name and GOMAXPROCS. A baseline benchmark that cur
+// measured only at a different GOMAXPROCS is an error, not a comparison:
+// per-worker scratch makes allocs/op grow with procs, so such a pair would
+// report the machine's core count as a regression (or hide a real one).
 func Diff(w io.Writer, old, cur *Snapshot, th Thresholds) ([]Regression, error) {
-	curIndex := make(map[string]Benchmark, len(cur.Benchmarks))
+	curIndex := make(map[benchKey]Benchmark, len(cur.Benchmarks))
+	curProcs := make(map[string][]int, len(cur.Benchmarks))
 	for _, b := range cur.Benchmarks {
-		curIndex[b.Name] = b
+		curIndex[b.key()] = b
+		curProcs[b.Name] = append(curProcs[b.Name], b.gomaxprocs())
+	}
+	var mismatched []string
+	for _, o := range old.Benchmarks {
+		if _, ok := curIndex[o.key()]; !ok && len(curProcs[o.Name]) > 0 {
+			mismatched = append(mismatched, fmt.Sprintf("%s (baseline GOMAXPROCS=%d, new %v)",
+				o.Name, o.gomaxprocs(), curProcs[o.Name]))
+		}
+	}
+	if len(mismatched) > 0 {
+		return nil, fmt.Errorf("refusing to compare benchmarks measured at different GOMAXPROCS (rerun with -cpu=N): %s",
+			strings.Join(mismatched, "; "))
 	}
 	var regs []Regression
 	fmt.Fprintf(w, "benchmark diff: %s -> %s\n", old.Date, cur.Date)
@@ -82,11 +101,11 @@ func Diff(w io.Writer, old, cur *Snapshot, th Thresholds) ([]Regression, error) 
 		"name", "metric", "old", "new", "ratio", "limit", "verdict")
 	matched := 0
 	for _, o := range old.Benchmarks {
-		b, ok := curIndex[o.Name]
+		b, ok := curIndex[o.key()]
 		if !ok {
-			regs = append(regs, Regression{Name: o.Name, Metric: "missing"})
+			regs = append(regs, Regression{Name: o.label(), Metric: "missing"})
 			fmt.Fprintf(w, "%-44s %-10s %14s %14s %8s %8s  REGRESS (missing)\n",
-				o.Name, "-", "-", "-", "-", "-")
+				o.label(), "-", "-", "-", "-", "-")
 			continue
 		}
 		matched++
@@ -115,26 +134,23 @@ func Diff(w io.Writer, old, cur *Snapshot, th Thresholds) ([]Regression, error) 
 				if r > m.limit {
 					verdict = "REGRESS"
 					regs = append(regs, Regression{
-						Name: o.Name, Metric: m.metric,
+						Name: o.label(), Metric: m.metric,
 						Old: m.old, New: m.new, Ratio: r, Limit: m.limit,
 					})
 				}
 			}
 			fmt.Fprintf(w, "%-44s %-10s %14.0f %14.0f %8.2f %8.2f  %s\n",
-				o.Name, m.metric, m.old, m.new, r, m.limit, verdict)
+				o.label(), m.metric, m.old, m.new, r, m.limit, verdict)
 		}
 	}
+	oldKeys := make(map[benchKey]bool, len(old.Benchmarks))
+	for _, o := range old.Benchmarks {
+		oldKeys[o.key()] = true
+	}
 	for _, b := range cur.Benchmarks {
-		found := false
-		for _, o := range old.Benchmarks {
-			if o.Name == b.Name {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !oldKeys[b.key()] {
 			fmt.Fprintf(w, "%-44s %-10s %14s %14s %8s %8s  new (no baseline)\n",
-				b.Name, "-", "-", "-", "-", "-")
+				b.label(), "-", "-", "-", "-", "-")
 		}
 	}
 	if matched == 0 && len(regs) == 0 {

@@ -98,6 +98,45 @@ func TestDiffMissingBenchmarkRegresses(t *testing.T) {
 	}
 }
 
+// TestDiffRefusesProcsMismatch: a baseline measured at one GOMAXPROCS must
+// not be compared against a run at another — allocs/op scales with the
+// worker count — while a snapshot without recorded procs reads as 1.
+func TestDiffRefusesProcsMismatch(t *testing.T) {
+	legacy := diffSnap("old", Benchmark{Name: "BenchmarkA", NsPerOp: 1000, AllocsPerOp: 100})
+	atP2, err := Parse("BenchmarkA-2 3 1000 ns/op 0 B/op 108 allocs/op\n", "new")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if _, err := Diff(&sb, legacy, atP2, DefaultThresholds()); err == nil || !strings.Contains(err.Error(), "GOMAXPROCS") {
+		t.Fatalf("cross-procs diff was not refused: err=%v\n%s", err, sb.String())
+	}
+
+	atP1, err := Parse("BenchmarkA 3 1000 ns/op 0 B/op 101 allocs/op\n", "new")
+	if err != nil {
+		t.Fatal(err)
+	}
+	regs, err := Diff(&sb, legacy, atP1, DefaultThresholds())
+	if err != nil || len(regs) != 0 {
+		t.Fatalf("same-procs diff: regs=%v err=%v", regs, err)
+	}
+
+	// A -cpu=1,2 series pairs its P=1 rows with the baseline and reports
+	// the P=2 rows as new.
+	series, err := Parse("BenchmarkA 3 1000 ns/op 0 B/op 101 allocs/op\nBenchmarkA-2 3 600 ns/op 0 B/op 108 allocs/op\n", "new")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb.Reset()
+	regs, err = Diff(&sb, legacy, series, DefaultThresholds())
+	if err != nil || len(regs) != 0 {
+		t.Fatalf("scaling series diff: regs=%v err=%v", regs, err)
+	}
+	if !strings.Contains(sb.String(), "BenchmarkA-2") {
+		t.Errorf("P=2 row not reported as new:\n%s", sb.String())
+	}
+}
+
 func TestDiffZeroLimitDisablesMetric(t *testing.T) {
 	old := diffSnap("old", Benchmark{Name: "BenchmarkA", NsPerOp: 100, AllocsPerOp: 10})
 	cur := diffSnap("new", Benchmark{Name: "BenchmarkA", NsPerOp: 10000, AllocsPerOp: 10})

@@ -1,5 +1,5 @@
 // Package cancel is the cooperative-cancellation primitive shared by the
-// parallel pipelines (nbhd.BuildShardedCtx, the core soundness sweeps,
+// parallel pipelines (nbhd.Build, the core soundness sweeps,
 // sim.GatherFaultsCtx). The pipelines already stop their workers through a
 // plain atomic flag checked at shard/instance/round checkpoints; this
 // package bridges a context.Context onto such a flag without adding
@@ -7,10 +7,10 @@
 // the context fires and is released when the pipeline finishes.
 //
 // A nil context is the never-cancelled context everywhere in this package,
-// so the bare (non-context) pipeline entry points can delegate to their
-// context-accepting implementations without manufacturing a
-// context.Background() — which the ctxflow analyzer forbids inside the
-// engine, core, nbhd, and sim layers.
+// so callers inside the pipelines (the ExhaustiveStrongSoundness oracle,
+// sim.RunScheme, nbhd.CountInstances) can enter the context-first entry
+// points without manufacturing a context.Background() — which the ctxflow
+// analyzer forbids inside the engine, core, nbhd, and sim layers.
 package cancel
 
 import (

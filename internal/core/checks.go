@@ -1,10 +1,14 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 
+	"hidinglcp/internal/cancel"
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/obs"
 )
 
 // CheckCompleteness verifies the completeness property of Section 2.2 on one
@@ -82,19 +86,41 @@ func CheckSoundness(d Decoder, lang Language, l Labeled) error {
 // verdicts are memoized per neighborhood labeling, which the equivalence
 // tests pin to the naive per-labeling check.
 func ExhaustiveStrongSoundness(d Decoder, lang Language, inst Instance, alphabet []string) error {
+	return exhaustiveSequential(nil, obs.Scope{}, d, lang, inst, alphabet)
+}
+
+// exhaustiveSequential is the one sequential labeling loop: the
+// ExhaustiveStrongSoundness oracle, and the path
+// ExhaustiveStrongSoundnessParallelCtx falls back to when the search
+// degenerates to one worker or the labeling space outgrows 64-bit ranks.
+// The sweep tallies are harvested into sc, and every labeling is a
+// cancellation checkpoint for ctx (nil never fires). A cancelled search
+// never reports a violation.
+func exhaustiveSequential(ctx context.Context, sc obs.Scope, d Decoder, lang Language, inst Instance, alphabet []string) error {
 	n := inst.G.N()
-	sweep, err := newLabelSweep(d, lang, inst, alphabet)
-	if err != nil {
-		return fmt.Errorf("extracting views: %w", err)
+	sweep, serr := newLabelSweep(d, lang, inst, alphabet)
+	if serr != nil {
+		return fmt.Errorf("extracting views: %w", serr)
 	}
+	var aborted atomic.Bool
+	release := cancel.Watch(ctx, &aborted)
+	defer release()
 	var violation error
 	graph.EnumLabelings(n, len(alphabet), func(idx []int) bool {
+		if aborted.Load() {
+			return false
+		}
 		if err := sweep.check(idx); err != nil {
 			violation = err
 			return false
 		}
 		return true
 	})
+	sweep.harvest(sc)
+	if err := cancel.Err(ctx, "exhaustive soundness sweep"); err != nil {
+		sc.Counter("core.sweep.cancelled").Inc()
+		return err
+	}
 	return violation
 }
 

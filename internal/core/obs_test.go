@@ -1,7 +1,11 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"hidinglcp/internal/graph"
@@ -18,9 +22,9 @@ func TestExhaustiveScopedEquivalence(t *testing.T) {
 	inst := NewInstance(graph.Path(4))
 	alphabet := []string{"0", "1", "x"}
 
-	bare := ExhaustiveStrongSoundnessParallel(d, lang, inst, alphabet, 8, 4)
+	bare := ExhaustiveStrongSoundnessParallelCtx(nil, obs.Scope{}, d, lang, inst, alphabet, 8, 4)
 	sc := obs.NewScope().WithTracer(obs.NewTracer(64))
-	scoped := ExhaustiveStrongSoundnessParallelScoped(sc, d, lang, inst, alphabet, 8, 4)
+	scoped := ExhaustiveStrongSoundnessParallelCtx(nil, sc, d, lang, inst, alphabet, 8, 4)
 	if (bare == nil) != (scoped == nil) {
 		t.Fatalf("scoped search changed the verdict: bare %v, scoped %v", bare, scoped)
 	}
@@ -69,9 +73,9 @@ func TestExhaustiveScopedViolationCounters(t *testing.T) {
 	inst := NewInstance(graph.MustCycle(5))
 	alphabet := []string{"0", "1", "2"}
 
-	bare := ExhaustiveStrongSoundnessParallel(d, lang, inst, alphabet, 8, 4)
+	bare := ExhaustiveStrongSoundnessParallelCtx(nil, obs.Scope{}, d, lang, inst, alphabet, 8, 4)
 	sc := obs.NewScope()
-	scoped := ExhaustiveStrongSoundnessParallelScoped(sc, d, lang, inst, alphabet, 8, 4)
+	scoped := ExhaustiveStrongSoundnessParallelCtx(nil, sc, d, lang, inst, alphabet, 8, 4)
 	bareLabels, scopedLabels := violationLabels(t, bare), violationLabels(t, scoped)
 	if len(bareLabels) == 0 || len(scopedLabels) == 0 {
 		t.Fatalf("expected a violation from both searches: bare %v, scoped %v", bare, scoped)
@@ -93,12 +97,65 @@ func TestExhaustiveScopedViolationCounters(t *testing.T) {
 // single-worker request must route to the sequential search and say so.
 func TestExhaustiveScopedSequentialFallback(t *testing.T) {
 	sc := obs.NewScope()
-	err := ExhaustiveStrongSoundnessParallelScoped(sc, revealDecoder(), TwoCol(), NewInstance(graph.Path(3)), []string{"0", "1", "x"}, 1, 1)
+	err := ExhaustiveStrongSoundnessParallelCtx(nil, sc, revealDecoder(), TwoCol(), NewInstance(graph.Path(3)), []string{"0", "1", "x"}, 1, 1)
 	if err != nil {
 		t.Fatalf("sequential fallback failed: %v", err)
 	}
 	if got := sc.Counter("core.sweep.sequential_fallback").Value(); got != 1 {
 		t.Errorf("sequential_fallback = %d, want 1", got)
+	}
+}
+
+// TestExhaustiveSequentialFallbackCountersIgnoreCtx is the regression test
+// for the nil-ctx fallback: the single-worker search must report the same
+// core.sweep.* counters whether the caller passes a nil context or a live
+// one. The nil-ctx fallback used to run a second sequential loop that never
+// harvested its tallies, recording 0 labelings checked instead of 27.
+func TestExhaustiveSequentialFallbackCountersIgnoreCtx(t *testing.T) {
+	sweepCounters := func(ctx context.Context) map[string]int64 {
+		sc := obs.NewScope()
+		if err := ExhaustiveStrongSoundnessParallelCtx(ctx, sc, revealDecoder(), TwoCol(), NewInstance(graph.Path(3)), []string{"0", "1", "x"}, 1, 1); err != nil {
+			t.Fatalf("sequential fallback failed: %v", err)
+		}
+		out := map[string]int64{}
+		for _, m := range sc.Registry().Snapshot() {
+			if m.Kind == obs.KindCounter && strings.HasPrefix(m.Name, "core.sweep.") {
+				out[m.Name] = m.Value
+			}
+		}
+		return out
+	}
+	withNil := sweepCounters(nil)
+	withCtx := sweepCounters(context.Background())
+	if !reflect.DeepEqual(withNil, withCtx) {
+		t.Errorf("core.sweep counters differ: nil ctx %v, live ctx %v", withNil, withCtx)
+	}
+	// P3 over a 3-symbol alphabet: 27 labelings, 3 verdicts each.
+	if got := withNil["core.sweep.labelings.checked"]; got != 27 {
+		t.Errorf("labelings.checked = %d, want 27", got)
+	}
+	if got := withNil["core.sweep.decide.calls"]; got != 81 {
+		t.Errorf("decide.calls = %d, want 81", got)
+	}
+}
+
+// TestExhaustiveSequentialFallbackCancelled: a cancelled context stops the
+// one-worker sweep before it reports anything, exactly like the parallel
+// one — the error carries context.Canceled and the cancellation is counted.
+func TestExhaustiveSequentialFallbackCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	sc := obs.NewScope()
+	err := ExhaustiveStrongSoundnessParallelCtx(ctx, sc, centerNonzeroDecoder(), TwoCol(), NewInstance(graph.MustCycle(5)), []string{"0", "1"}, 1, 1)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled sweep returned %v, want context.Canceled in the chain", err)
+	}
+	var v *StrongSoundnessViolation
+	if errors.As(err, &v) {
+		t.Fatal("cancelled sweep reported a violation")
+	}
+	if got := sc.Counter("core.sweep.cancelled").Value(); got != 1 {
+		t.Errorf("core.sweep.cancelled = %d, want 1", got)
 	}
 }
 
@@ -112,9 +169,9 @@ func TestFuzzScopedCounters(t *testing.T) {
 		return []string{"0", "1", "x"}[rng.Intn(3)]
 	}
 
-	bare := FuzzStrongSoundnessParallel(d, lang, inst, 200, rand.New(rand.NewSource(7)), gen, 4)
+	bare := FuzzStrongSoundnessParallel(obs.Scope{}, d, lang, inst, 200, rand.New(rand.NewSource(7)), gen, 4)
 	sc := obs.NewScope()
-	scoped := FuzzStrongSoundnessParallelScoped(sc, d, lang, inst, 200, rand.New(rand.NewSource(7)), gen, 4)
+	scoped := FuzzStrongSoundnessParallel(sc, d, lang, inst, 200, rand.New(rand.NewSource(7)), gen, 4)
 	if (bare == nil) != (scoped == nil) {
 		t.Fatalf("scoped fuzz changed the verdict: bare %v, scoped %v", bare, scoped)
 	}

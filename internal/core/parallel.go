@@ -27,8 +27,8 @@ func resolveShardsWorkers(shards, workers int) (int, int) {
 	return shards, workers
 }
 
-// ExhaustiveStrongSoundnessParallel is ExhaustiveStrongSoundness with the
-// |alphabet|^n labeling space split into labeling-prefix shards
+// ExhaustiveStrongSoundnessParallelCtx is ExhaustiveStrongSoundness with
+// the |alphabet|^n labeling space split into labeling-prefix shards
 // (graph.EnumLabelingsShard) searched by a worker pool. It returns exactly
 // the error the sequential search returns: the violation at the
 // lexicographically first violating labeling, found via rank-based pruning —
@@ -36,48 +36,30 @@ func resolveShardsWorkers(shards, workers int) (int, int) {
 // violation seen so far, and the minimum-rank violation is reported.
 //
 // shards <= 0 selects 4 per worker; workers <= 0 selects GOMAXPROCS. The
-// search falls back to the sequential path when only one worker or shard
-// results, or when the labeling space is too large for 64-bit ranks.
-func ExhaustiveStrongSoundnessParallel(d Decoder, lang Language, inst Instance, alphabet []string, shards, workers int) error {
-	return exhaustiveStrongSoundnessParallel(nil, obs.Scope{}, d, lang, inst, alphabet, shards, workers)
-}
-
-// ExhaustiveStrongSoundnessParallelCtx is the scoped parallel search under
-// cooperative cancellation: when ctx fires, every worker abandons its
-// current shard at the next labeling checkpoint, the pool drains through
-// the WaitGroup barrier (no goroutine outlives the call — pinned by
+// search falls back to the sequential loop (counted as
+// core.sweep.sequential_fallback) when only one worker or shard results, or
+// when the labeling space is too large for 64-bit ranks.
+//
+// sc receives the per-worker sweep tallies (labelings checked, decoder memo
+// hits, language memo hits), harvested after the worker barrier on both the
+// parallel and the sequential path; shard completion advances the scope's
+// progress phase, and pruned shard abandonments are counted. A zero Scope
+// makes every instrument call a no-op; verdicts are never affected by
+// instrumentation (enforced by the sanitizer's instrumentation probe).
+//
+// A nil ctx is the never-cancelled context (internal/cancel). When ctx
+// fires, every worker abandons its current shard at the next labeling
+// checkpoint, the pool drains through the WaitGroup barrier (no goroutine
+// outlives the call — pinned by
 // sanitize.ProbeExhaustiveStrongSoundnessParallelCancel), and the error
 // wraps context.Cause(ctx). A cancelled search never reports a violation:
-// its partial answer would depend on scheduling. With a context that never
-// fires the result is exactly the Scoped search's.
+// its partial answer would depend on scheduling.
 func ExhaustiveStrongSoundnessParallelCtx(ctx context.Context, sc obs.Scope, d Decoder, lang Language, inst Instance, alphabet []string, shards, workers int) error {
-	return exhaustiveStrongSoundnessParallel(ctx, sc, d, lang, inst, alphabet, shards, workers)
-}
-
-// ExhaustiveStrongSoundnessParallelScoped is ExhaustiveStrongSoundnessParallel
-// reporting into an observability scope: per-worker sweep tallies (labelings
-// checked, decoder memo hits, language memo hits) are harvested after the
-// worker barrier, shard completion advances the scope's progress phase, and
-// pruned shard abandonments are counted. A zero Scope degrades to exactly
-// the unscoped search; verdicts are never affected by instrumentation
-// (enforced by the sanitizer's instrumentation probe).
-func ExhaustiveStrongSoundnessParallelScoped(sc obs.Scope, d Decoder, lang Language, inst Instance, alphabet []string, shards, workers int) error {
-	return exhaustiveStrongSoundnessParallel(nil, sc, d, lang, inst, alphabet, shards, workers)
-}
-
-// exhaustiveStrongSoundnessParallel is the search beneath the three
-// exported variants. A nil ctx is the never-cancelled context
-// (internal/cancel), so the bare and Scoped entry points need no
-// background context of their own.
-func exhaustiveStrongSoundnessParallel(ctx context.Context, sc obs.Scope, d Decoder, lang Language, inst Instance, alphabet []string, shards, workers int) error {
 	n := inst.G.N()
 	shards, workers = resolveShardsWorkers(shards, workers)
 	if workers == 1 || shards == 1 || !graph.LabelingRankFits(n, len(alphabet)) {
 		sc.Counter("core.sweep.sequential_fallback").Inc()
-		if ctx == nil {
-			return ExhaustiveStrongSoundness(d, lang, inst, alphabet)
-		}
-		return exhaustiveSequentialCtx(ctx, sc, d, lang, inst, alphabet)
+		return exhaustiveSequential(ctx, sc, d, lang, inst, alphabet)
 	}
 
 	span := sc.Span(sc.Label("core.exhaustive"))
@@ -195,56 +177,18 @@ func exhaustiveStrongSoundnessParallel(ctx context.Context, sc obs.Scope, d Deco
 	return found[r]
 }
 
-// exhaustiveSequentialCtx is ExhaustiveStrongSoundness with a per-labeling
-// cancellation checkpoint — the path the parallel entry points fall back to
-// when the search degenerates to one worker or the labeling space outgrows
-// 64-bit ranks but the caller still holds a real context. A cancelled
-// search never reports a violation.
-func exhaustiveSequentialCtx(ctx context.Context, sc obs.Scope, d Decoder, lang Language, inst Instance, alphabet []string) error {
-	n := inst.G.N()
-	sweep, serr := newLabelSweep(d, lang, inst, alphabet)
-	if serr != nil {
-		return fmt.Errorf("extracting views: %w", serr)
-	}
-	var aborted atomic.Bool
-	release := cancel.Watch(ctx, &aborted)
-	defer release()
-	var violation error
-	graph.EnumLabelings(n, len(alphabet), func(idx []int) bool {
-		if aborted.Load() {
-			return false
-		}
-		if err := sweep.check(idx); err != nil {
-			violation = err
-			return false
-		}
-		return true
-	})
-	sweep.harvest(sc)
-	if err := cancel.Err(ctx, "exhaustive soundness sweep"); err != nil {
-		sc.Counter("core.sweep.cancelled").Inc()
-		return err
-	}
-	return violation
-}
-
-// FuzzStrongSoundnessParallel is FuzzStrongSoundness with the trials checked
-// by a worker pool. The labelings are pre-drawn from rng in sequential trial
-// order — the identical random stream the sequential fuzzer consumes — and
-// the violation at the lowest trial index is reported, so the result matches
-// FuzzStrongSoundness exactly. (When a violation exists, the sequential
-// fuzzer stops drawing at the violating trial while this variant has already
-// drawn all of them, so the final rng positions differ; the reported
-// violation does not.)
-func FuzzStrongSoundnessParallel(d Decoder, lang Language, inst Instance, trials int, rng *rand.Rand, gen func(node int, rng *rand.Rand) string, workers int) error {
-	return FuzzStrongSoundnessParallelScoped(obs.Scope{}, d, lang, inst, trials, rng, gen, workers)
-}
-
-// FuzzStrongSoundnessParallelScoped is FuzzStrongSoundnessParallel reporting
-// into an observability scope: trials advance the scope's progress phase,
-// and the per-worker sweep tallies are harvested after the worker barrier.
-// A zero Scope degrades to exactly the unscoped fuzzer.
-func FuzzStrongSoundnessParallelScoped(sc obs.Scope, d Decoder, lang Language, inst Instance, trials int, rng *rand.Rand, gen func(node int, rng *rand.Rand) string, workers int) error {
+// FuzzStrongSoundnessParallel is FuzzStrongSoundness with the trials
+// checked by a worker pool. The labelings are pre-drawn from rng in
+// sequential trial order — the identical random stream the sequential
+// fuzzer consumes — and the violation at the lowest trial index is
+// reported, so the result matches FuzzStrongSoundness exactly. (When a
+// violation exists, the sequential fuzzer stops drawing at the violating
+// trial while this one has already drawn all of them, so the final rng
+// positions differ; the reported violation does not.) Trials advance sc's
+// progress phase, and the per-worker sweep tallies are harvested into sc
+// after the worker barrier; a zero Scope makes every instrument call a
+// no-op.
+func FuzzStrongSoundnessParallel(sc obs.Scope, d Decoder, lang Language, inst Instance, trials int, rng *rand.Rand, gen func(node int, rng *rand.Rand) string, workers int) error {
 	n := inst.G.N()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

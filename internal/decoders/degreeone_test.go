@@ -7,6 +7,7 @@ import (
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/nbhd"
+	"hidinglcp/internal/obs"
 )
 
 func TestDegreeOneCompleteness(t *testing.T) {
@@ -100,7 +101,7 @@ func TestDegreeOneHiding(t *testing.T) {
 	if len(insts) == 0 {
 		t.Fatal("empty family")
 	}
-	ng, err := nbhd.Build(s.Decoder, nbhd.AllLabelings(DegOneAlphabet(), insts...))
+	ng, err := nbhd.Build(nil, obs.Scope{}, s.Decoder, nbhd.AllLabelings(DegOneAlphabet(), insts...), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

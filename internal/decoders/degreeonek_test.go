@@ -7,6 +7,7 @@ import (
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/nbhd"
+	"hidinglcp/internal/obs"
 )
 
 func TestDegreeOneKCompleteness(t *testing.T) {
@@ -163,7 +164,7 @@ func TestDegreeOneKHidingExploration(t *testing.T) {
 			return true
 		})
 	}
-	ng, err := nbhd.Build(s.Decoder, nbhd.AllLabelings(DegOneKAlphabet(3), insts...))
+	ng, err := nbhd.Build(nil, obs.Scope{}, s.Decoder, nbhd.AllLabelings(DegOneKAlphabet(3), insts...), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/nbhd"
+	"hidinglcp/internal/obs"
 )
 
 func TestEvenCycleCompleteness(t *testing.T) {
@@ -132,7 +133,7 @@ func TestEvenCycleHiding(t *testing.T) {
 			t.Fatalf("family instance not fully accepted: %v", l.G)
 		}
 	}
-	ng, err := nbhd.Build(s.Decoder, nbhd.FromLabeled(family...))
+	ng, err := nbhd.Build(nil, obs.Scope{}, s.Decoder, nbhd.FromLabeled(family...), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/obs"
 )
 
 // distinctLabels collects up to max distinct certificate symbols from a
@@ -90,7 +91,7 @@ func TestParallelSoundnessMatchesSequential(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			seqErr := core.ExhaustiveStrongSoundness(c.s.Decoder, c.s.Promise.Lang, c.inst, c.alphabet)
 			for _, p := range grid {
-				parErr := core.ExhaustiveStrongSoundnessParallel(c.s.Decoder, c.s.Promise.Lang, c.inst, c.alphabet, p.shards, p.workers)
+				parErr := core.ExhaustiveStrongSoundnessParallelCtx(nil, obs.Scope{}, c.s.Decoder, c.s.Promise.Lang, c.inst, c.alphabet, p.shards, p.workers)
 				sameSoundness(t, c.name, seqErr, parErr)
 			}
 		})

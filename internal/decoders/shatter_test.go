@@ -8,6 +8,7 @@ import (
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/nbhd"
+	"hidinglcp/internal/obs"
 )
 
 func TestShatterCompleteness(t *testing.T) {
@@ -216,7 +217,7 @@ func TestShatterHiding(t *testing.T) {
 				pair[0], pair[1], mu1.Key(), mu2.Key())
 		}
 	}
-	ng, err := nbhd.Build(s.Decoder, nbhd.FromLabeled(l1, l2))
+	ng, err := nbhd.Build(nil, obs.Scope{}, s.Decoder, nbhd.FromLabeled(l1, l2), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +245,7 @@ func TestShatterLiteralHiding(t *testing.T) {
 		return core.MustNewLabeled(l.Instance, labels)
 	}
 	l1, l2 = relabel(l1, 4), relabel(l2, 3)
-	ng, err := nbhd.Build(s.Decoder, nbhd.FromLabeled(l1, l2))
+	ng, err := nbhd.Build(nil, obs.Scope{}, s.Decoder, nbhd.FromLabeled(l1, l2), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/nbhd"
+	"hidinglcp/internal/obs"
 )
 
 func TestTrivialCompleteness(t *testing.T) {
@@ -63,7 +64,7 @@ func TestTrivialNotHiding(t *testing.T) {
 			return true
 		})
 	}
-	ng, err := nbhd.Build(s.Decoder, nbhd.AllLabelings([]string{"0", "1"}, insts...))
+	ng, err := nbhd.Build(nil, obs.Scope{}, s.Decoder, nbhd.AllLabelings([]string{"0", "1"}, insts...), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/nbhd"
+	"hidinglcp/internal/obs"
 )
 
 func TestUnionCompleteness(t *testing.T) {
@@ -104,7 +105,7 @@ func TestUnionHiding(t *testing.T) {
 	// The union scheme inherits hiding from both parts: its V(D, n) slice
 	// over the degree-one family alone already contains an odd cycle.
 	s := Union()
-	ng, err := nbhd.Build(s.Decoder, nbhd.AllLabelings(DegOneAlphabet(), DegOneFamily(4)...))
+	ng, err := nbhd.Build(nil, obs.Scope{}, s.Decoder, nbhd.AllLabelings(DegOneAlphabet(), DegOneFamily(4)...), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestUnionHiding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ng2, err := nbhd.Build(s.Decoder, nbhd.FromLabeled(family...))
+	ng2, err := nbhd.Build(nil, obs.Scope{}, s.Decoder, nbhd.FromLabeled(family...), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

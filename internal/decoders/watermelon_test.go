@@ -7,6 +7,7 @@ import (
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/nbhd"
+	"hidinglcp/internal/obs"
 )
 
 func TestFindWatermelonStructure(t *testing.T) {
@@ -225,7 +226,7 @@ func TestWatermelonHiding(t *testing.T) {
 	if mu41.Key() != mu52.Key() {
 		t.Errorf("view(u4,I1) != view(u5,I2):\n%s\n%s", mu41.Key(), mu52.Key())
 	}
-	ng, err := nbhd.Build(s.Decoder, nbhd.FromLabeled(l1, l2))
+	ng, err := nbhd.Build(nil, obs.Scope{}, s.Decoder, nbhd.FromLabeled(l1, l2), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +257,7 @@ func TestWatermelonHidingFamily(t *testing.T) {
 			t.Fatalf("family instance not fully accepted: %v", l.G)
 		}
 	}
-	ng, err := nbhd.Build(s.Decoder, nbhd.FromLabeled(family...))
+	ng, err := nbhd.Build(nil, obs.Scope{}, s.Decoder, nbhd.FromLabeled(family...), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

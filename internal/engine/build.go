@@ -55,7 +55,7 @@ func (r *Registry) runBuild(ctx context.Context, sc obs.Scope, cfg BuildConfig) 
 	if err != nil {
 		return err
 	}
-	ng, err := nbhd.BuildShardedCtx(ctx, sc, s.Decoder, enum, cfg.Shards, cfg.Workers)
+	ng, err := nbhd.Build(ctx, sc, s.Decoder, enum, cfg.Shards, cfg.Workers)
 	if err != nil {
 		return err
 	}

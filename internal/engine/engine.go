@@ -6,7 +6,7 @@
 // package; nothing below it dispatches on scheme or experiment names.
 //
 // Cancellation contract: every job threads its context into the parallel
-// primitives (nbhd.BuildShardedCtx, core.ExhaustiveStrongSoundnessParallelCtx,
+// primitives (nbhd.Build, core.ExhaustiveStrongSoundnessParallelCtx,
 // sim.RunSchemeFaultsCtx, the experiment drivers), which stop at their next
 // shard/instance/round checkpoint. A job interrupted this way returns an
 // error satisfying errors.Is(err, ErrCancelled) — and also errors.Is against

@@ -82,27 +82,27 @@ func (r *Registry) Family(s core.Scheme, schemeName, graphsSpec string) (nbhd.Sh
 				insts = append(insts, core.NewInstance(g))
 			}
 		}
-		return nbhd.ShardedProverLabeled(s, insts...), fmt.Sprintf("prover-labeled %s", graphsSpec), nil
+		return nbhd.ProverLabeled(s, insts...), fmt.Sprintf("prover-labeled %s", graphsSpec), nil
 	}
 	switch schemeName {
 	case "degree-one", "union":
-		return nbhd.ShardedAllLabelings(decoders.DegOneAlphabet(), decoders.DegOneFamily(4)...),
+		return nbhd.AllLabelings(decoders.DegOneAlphabet(), decoders.DegOneFamily(4)...),
 			"exhaustive connected bipartite δ=1 slice, n <= 4, all ports and labelings", nil
 	case "even-cycle":
 		family, err := decoders.EvenCycleFamily(4, 6)
 		if err != nil {
 			return nil, "", err
 		}
-		return nbhd.ShardedFromLabeled(family...), "all yes-instances on C4 and C6 (every port assignment, both phases)", nil
+		return nbhd.FromLabeled(family...), "all yes-instances on C4 and C6 (every port assignment, both phases)", nil
 	case "shatter", "shatter-literal":
 		l1, l2 := decoders.ShatterHidingPair()
-		return nbhd.ShardedFromLabeled(l1, l2), "the paper's P8/P7 hiding pair", nil
+		return nbhd.FromLabeled(l1, l2), "the paper's P8/P7 hiding pair", nil
 	case "watermelon":
 		family, err := decoders.WatermelonHidingFamily()
 		if err != nil {
 			return nil, "", err
 		}
-		return nbhd.ShardedFromLabeled(family...), "P8 identifier pair + rotated even-cycle watermelons", nil
+		return nbhd.FromLabeled(family...), "P8 identifier pair + rotated even-cycle watermelons", nil
 	case "trivial", "trivial3":
 		return nil, "", fmt.Errorf("the trivial scheme needs an explicit -graphs family")
 	default:

@@ -69,7 +69,7 @@ func E3DegreeOne(ctx context.Context) Table {
 	rng := rand.New(rand.NewSource(1))
 	gen := func(_ int, rng *rand.Rand) string { return decoders.DegOneAlphabet()[rng.Intn(4)] }
 	for _, g := range []*graph.Graph{graph.Petersen(), graph.Complete(5)} {
-		if err := core.FuzzStrongSoundnessParallelScoped(sc, s.Decoder, s.Promise.Lang, core.NewAnonymousInstance(g), 500, rng, gen, workers); err != nil {
+		if err := core.FuzzStrongSoundnessParallel(sc, s.Decoder, s.Promise.Lang, core.NewAnonymousInstance(g), 500, rng, gen, workers); err != nil {
 			t.Err = err
 			return t
 		}
@@ -77,7 +77,7 @@ func E3DegreeOne(ctx context.Context) Table {
 	t.AddRow("strong soundness (fuzz x500)", "Petersen, K5", "no violation")
 
 	// Hiding: exhaustive slice of V(D, 4), built shard-parallel.
-	ng, err := nbhd.BuildShardedCtx(ctx, sc, s.Decoder, nbhd.ShardedAllLabelings(decoders.DegOneAlphabet(), decoders.DegOneFamily(4)...), shards, workers)
+	ng, err := nbhd.Build(ctx, sc, s.Decoder, nbhd.AllLabelings(decoders.DegOneAlphabet(), decoders.DegOneFamily(4)...), shards, workers)
 	if err != nil {
 		t.Err = err
 		return t

@@ -73,7 +73,7 @@ func E6Shatter(ctx context.Context) Table {
 	rng := rand.New(rand.NewSource(4))
 	gen := decoders.MalformedShatterLabels(12, 4)
 	for _, g := range []*graph.Graph{graph.MustCycle(5), graph.Petersen(), graph.MustWatermelon([]int{2, 3})} {
-		if err := core.FuzzStrongSoundnessParallelScoped(sc, s.Decoder, s.Promise.Lang, core.NewInstance(g), 800, rng, gen, workers); err != nil {
+		if err := core.FuzzStrongSoundnessParallel(sc, s.Decoder, s.Promise.Lang, core.NewInstance(g), 800, rng, gen, workers); err != nil {
 			t.Err = err
 			return t
 		}
@@ -82,7 +82,7 @@ func E6Shatter(ctx context.Context) Table {
 
 	// Hiding via the paper's P8/P7 pair.
 	l1, l2 := decoders.ShatterHidingPair()
-	ng, err := nbhd.BuildShardedCtx(ctx, sc, s.Decoder, nbhd.ShardedFromLabeled(l1, l2), shards, workers)
+	ng, err := nbhd.Build(ctx, sc, s.Decoder, nbhd.FromLabeled(l1, l2), shards, workers)
 	if err != nil {
 		t.Err = err
 		return t

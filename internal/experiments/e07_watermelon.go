@@ -9,6 +9,7 @@ import (
 	"hidinglcp/internal/decoders"
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/nbhd"
+	"hidinglcp/internal/obs"
 )
 
 // E7Watermelon reproduces Theorem 1.4: the non-anonymous scheme for
@@ -86,7 +87,7 @@ func E7Watermelon(ctx context.Context) Table {
 	mu52, _ := l2.ViewOf(4, 1)
 	t.AddRow("view(u1,I1) = view(u1,I2)", "P8 pair", mu11.Key() == mu12.Key())
 	t.AddRow("view(u4,I1) = view(u5,I2)", "P8 pair", mu41.Key() == mu52.Key())
-	ng, err := nbhd.Build(s.Decoder, nbhd.FromLabeled(l1, l2))
+	ng, err := nbhd.Build(ctx, obs.Scope{}, s.Decoder, nbhd.FromLabeled(l1, l2), 1, 1)
 	if err != nil {
 		t.Err = err
 		return t

@@ -9,6 +9,7 @@ import (
 	"hidinglcp/internal/forgetful"
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/nbhd"
+	"hidinglcp/internal/obs"
 	"hidinglcp/internal/view"
 )
 
@@ -104,7 +105,7 @@ func E9Realize(ctx context.Context) Table {
 		labels[i] = "ok"
 	}
 	l := core.MustNewLabeled(core.NewInstance(host), labels)
-	ng, err := nbhd.Build(okDecoder, nbhd.FromLabeled(l))
+	ng, err := nbhd.Build(ctx, obs.Scope{}, okDecoder, nbhd.FromLabeled(l), 1, 1)
 	if err != nil {
 		t.Err = err
 		return t
@@ -125,7 +126,7 @@ func E9Realize(ctx context.Context) Table {
 
 	// Stage 5: the non-backtracking odd-walk search (Lemma 5.5) on the
 	// assembled G_bad's accepting views.
-	ngBad, err := nbhd.Build(okDecoder, nbhd.FromLabeled(gBad))
+	ngBad, err := nbhd.Build(ctx, obs.Scope{}, okDecoder, nbhd.FromLabeled(gBad), 1, 1)
 	if err != nil {
 		t.Err = err
 		return t

@@ -6,6 +6,7 @@ import (
 	"hidinglcp/internal/decoders"
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/nbhd"
+	"hidinglcp/internal/obs"
 )
 
 // E15KColoring explores the general-k direction the paper defers
@@ -80,7 +81,7 @@ func E15KColoring(ctx context.Context) Table {
 				return true
 			})
 		}
-		ng, err := nbhd.Build(s.Decoder, nbhd.AllLabelings(decoders.DegOneKAlphabet(k), insts...))
+		ng, err := nbhd.Build(ctx, obs.Scope{}, s.Decoder, nbhd.AllLabelings(decoders.DegOneKAlphabet(k), insts...), 1, 1)
 		if err != nil {
 			t.Err = err
 			return t

@@ -24,17 +24,16 @@ func appendLenPrefixed(b []byte, s string) []byte {
 // go through a shared core.MemoDecoder (one inner Decide per view class
 // across all workers), and per-instance view extraction reuses templates
 // whenever the enumerator varies only the labeling of a fixed instance —
-// the AllLabelings/ShardedAllLabelings hot case.
+// the AllLabelings hot case.
 //
 // The interner and memo are shared across builders; everything else is
 // private to one goroutine.
 type builder struct {
-	md    *core.MemoDecoder
-	in    *view.Interner
-	where string
-	ex    view.Extractor
-	anon  bool
-	r     int
+	md   *core.MemoDecoder
+	in   *view.Interner
+	ex   view.Extractor
+	anon bool
+	r    int
 
 	accepting []bool
 	loops     []bool
@@ -75,13 +74,12 @@ type builder struct {
 	nTemplatesBuilt int64 // template cache rebuilds (instance identity changed)
 }
 
-func newBuilder(d core.Decoder, md *core.MemoDecoder, in *view.Interner, where string) *builder {
+func newBuilder(d core.Decoder, md *core.MemoDecoder, in *view.Interner) *builder {
 	return &builder{
-		md:    md,
-		in:    in,
-		where: where,
-		anon:  d.Anonymous(),
-		r:     d.Rounds(),
+		md:   md,
+		in:   in,
+		anon: d.Anonymous(),
+		r:    d.Rounds(),
 	}
 }
 
@@ -113,7 +111,7 @@ func (b *builder) absorb(l core.Labeled) {
 			t, err := b.ex.Template(l.G, l.Prt, ids, l.NBound, v, b.r)
 			if err != nil {
 				// Enumerators produce valid instances by construction.
-				panic(fmt.Sprintf("%s: invalid instance from enumerator: %v", b.where, fmt.Errorf("node %d: %w", v, err)))
+				panic(fmt.Sprintf("nbhd.Build: invalid instance from enumerator: %v", fmt.Errorf("node %d: %w", v, err)))
 			}
 			b.tpl = append(b.tpl, t)
 		}

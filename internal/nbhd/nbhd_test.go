@@ -7,8 +7,15 @@ import (
 
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/obs"
 	"hidinglcp/internal/view"
 )
+
+// buildSeq runs Build as the single-builder sequential enumeration
+// (Shards(1) is Sequential()) with no scope and no cancellation.
+func buildSeq(d core.Decoder, se ShardedEnumerator) (*NGraph, error) {
+	return Build(nil, obs.Scope{}, d, se, 1, 1)
+}
 
 // revealDecoder is the textbook revealing 2-coloring LCP used as a known
 // NON-hiding reference point.
@@ -47,7 +54,7 @@ func alwaysAccept() core.Decoder {
 
 func TestBuildRevealOnEdge(t *testing.T) {
 	inst := core.NewAnonymousInstance(graph.Path(2))
-	ng, err := Build(revealDecoder(), AllLabelings([]string{"0", "1"}, inst))
+	ng, err := buildSeq(revealDecoder(), AllLabelings([]string{"0", "1"}, inst))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +78,7 @@ func TestBuildRevealOnEdge(t *testing.T) {
 
 func TestBuildAlwaysAcceptSelfLoop(t *testing.T) {
 	inst := core.NewAnonymousInstance(graph.Path(2))
-	ng, err := Build(alwaysAccept(), AllLabelings([]string{"x"}, inst))
+	ng, err := buildSeq(alwaysAccept(), AllLabelings([]string{"x"}, inst))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +115,7 @@ func TestBuildProverLabeled(t *testing.T) {
 		core.NewAnonymousInstance(graph.Path(3)),
 		core.NewAnonymousInstance(graph.MustCycle(4)),
 	}
-	ng, err := Build(s.Decoder, ProverLabeled(s, insts...))
+	ng, err := buildSeq(s.Decoder, ProverLabeled(s, insts...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +129,7 @@ func TestBuildProverLabeled(t *testing.T) {
 
 func TestProverLabeledRejectsNoInstance(t *testing.T) {
 	s := core.Scheme{Name: "reveal", Decoder: revealDecoder(), Prover: revealProver{}}
-	_, err := Build(s.Decoder, ProverLabeled(s, core.NewAnonymousInstance(graph.MustCycle(3))))
+	_, err := buildSeq(s.Decoder, ProverLabeled(s, core.NewAnonymousInstance(graph.MustCycle(3))))
 	if err == nil {
 		t.Error("prover-labeled enumerator accepted a no-instance")
 	}
@@ -130,7 +137,7 @@ func TestProverLabeledRejectsNoInstance(t *testing.T) {
 
 func TestFromLabeledValidates(t *testing.T) {
 	bad := core.Labeled{Instance: core.Instance{}, Labels: nil}
-	_, err := Build(alwaysAccept(), FromLabeled(bad))
+	_, err := buildSeq(alwaysAccept(), FromLabeled(bad))
 	if err == nil {
 		t.Error("invalid instance accepted")
 	}
@@ -144,7 +151,7 @@ func TestChain(t *testing.T) {
 		AllLabelings([]string{"0", "1"}, instB),
 	)
 	count := 0
-	if err := enum(func(core.Labeled) bool {
+	if err := enum.Sequential()(func(core.Labeled) bool {
 		count++
 		return true
 	}); err != nil {
@@ -155,7 +162,7 @@ func TestChain(t *testing.T) {
 	}
 	// Early stop propagates.
 	count = 0
-	if err := enum(func(core.Labeled) bool {
+	if err := enum.Sequential()(func(core.Labeled) bool {
 		count++
 		return count < 5
 	}); err != nil {
@@ -170,7 +177,7 @@ func TestAllPortsAllLabelings(t *testing.T) {
 	inst := core.NewAnonymousInstance(graph.Path(3))
 	enum := AllPortsAllLabelings([]string{"a"}, inst)
 	count := 0
-	if err := enum(func(core.Labeled) bool {
+	if err := enum.Sequential()(func(core.Labeled) bool {
 		count++
 		return true
 	}); err != nil {
@@ -205,7 +212,7 @@ func TestExtractorRoundTrip(t *testing.T) {
 		core.NewAnonymousInstance(graph.MustCycle(4)),
 		core.NewAnonymousInstance(graph.MustCycle(6)),
 	}
-	ng, err := Build(s.Decoder, AllLabelings([]string{"0", "1"}, family...))
+	ng, err := buildSeq(s.Decoder, AllLabelings([]string{"0", "1"}, family...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +237,7 @@ func TestExtractorRoundTrip(t *testing.T) {
 
 func TestExtractorFailsWhenHiding(t *testing.T) {
 	inst := core.NewAnonymousInstance(graph.Path(2))
-	ng, err := Build(alwaysAccept(), AllLabelings([]string{"x"}, inst))
+	ng, err := buildSeq(alwaysAccept(), AllLabelings([]string{"x"}, inst))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +248,7 @@ func TestExtractorFailsWhenHiding(t *testing.T) {
 
 func TestExtractorUnknownView(t *testing.T) {
 	inst := core.NewAnonymousInstance(graph.Path(2))
-	ng, err := Build(revealDecoder(), AllLabelings([]string{"0", "1"}, inst))
+	ng, err := buildSeq(revealDecoder(), AllLabelings([]string{"0", "1"}, inst))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +266,7 @@ func TestExtractorUnknownView(t *testing.T) {
 
 func TestIndexOfMissing(t *testing.T) {
 	inst := core.NewAnonymousInstance(graph.Path(2))
-	ng, err := Build(revealDecoder(), AllLabelings([]string{"0", "1"}, inst))
+	ng, err := buildSeq(revealDecoder(), AllLabelings([]string{"0", "1"}, inst))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,12 +344,12 @@ func TestBuildParallelEquivalence(t *testing.T) {
 		core.NewAnonymousInstance(graph.Path(4)),
 		core.NewAnonymousInstance(graph.MustCycle(4)),
 	}
-	seq, err := Build(revealDecoder(), AllLabelings([]string{"0", "1", "x"}, insts...))
+	seq, err := buildSeq(revealDecoder(), AllLabelings([]string{"0", "1", "x"}, insts...))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 1, 2, 7} {
-		par, err := BuildParallel(revealDecoder(), ShardedAllLabelings([]string{"0", "1", "x"}, insts...), workers)
+		par, err := Build(nil, obs.Scope{}, revealDecoder(), AllLabelings([]string{"0", "1", "x"}, insts...), 0, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,7 +371,7 @@ func TestBuildParallelEquivalence(t *testing.T) {
 
 func TestBuildParallelEnumeratorError(t *testing.T) {
 	bad := core.Labeled{Instance: core.Instance{}, Labels: nil}
-	if _, err := BuildParallel(alwaysAccept(), ShardedFromLabeled(bad), 2); err == nil {
+	if _, err := Build(nil, obs.Scope{}, alwaysAccept(), FromLabeled(bad), 0, 2); err == nil {
 		t.Error("invalid instance accepted by parallel builder")
 	}
 }

@@ -23,7 +23,7 @@ func BenchmarkBuildShardedObs(b *testing.B) {
 
 	b.Run("bare", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := BuildSharded(s.Decoder, ShardedAllLabelings(alpha, fam...), 16, 4); err != nil {
+			if _, err := Build(nil, obs.Scope{}, s.Decoder, AllLabelings(alpha, fam...), 16, 4); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -31,7 +31,7 @@ func BenchmarkBuildShardedObs(b *testing.B) {
 	b.Run("instrumented", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sc := obs.NewScope()
-			if _, err := BuildShardedScoped(sc, s.Decoder, ShardedAllLabelings(alpha, fam...), 16, 4); err != nil {
+			if _, err := Build(nil, sc, s.Decoder, AllLabelings(alpha, fam...), 16, 4); err != nil {
 				b.Fatal(err)
 			}
 		}

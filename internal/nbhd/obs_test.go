@@ -19,12 +19,12 @@ func TestBuildShardedScopedEquivalence(t *testing.T) {
 	fam := decoders.DegOneFamily(3)
 	alpha := decoders.DegOneAlphabet()
 
-	bare, err := BuildSharded(s.Decoder, ShardedAllLabelings(alpha, fam...), 8, 4)
+	bare, err := Build(nil, obs.Scope{}, s.Decoder, AllLabelings(alpha, fam...), 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := obs.NewScope().WithTracer(obs.NewTracer(64))
-	scoped, err := BuildShardedScoped(sc, s.Decoder, ShardedAllLabelings(alpha, fam...), 8, 4)
+	scoped, err := Build(nil, sc, s.Decoder, AllLabelings(alpha, fam...), 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestBuildShardedScopedProgress(t *testing.T) {
 
 	s := decoders.DegreeOne()
 	fam := decoders.DegOneFamily(3)
-	if _, err := BuildShardedScoped(sc, s.Decoder, ShardedAllLabelings(decoders.DegOneAlphabet(), fam...), 6, 2); err != nil {
+	if _, err := Build(nil, sc, s.Decoder, AllLabelings(decoders.DegOneAlphabet(), fam...), 6, 2); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -7,6 +7,7 @@ import (
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/decoders"
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/obs"
 	"hidinglcp/internal/view"
 )
 
@@ -128,77 +129,34 @@ func compareAgainstReference(t *testing.T, ng *NGraph, keys []string, edges map[
 // TestBuildMatchesReference runs the interned fast-path Build against the
 // string-keyed reference on every decoder archetype: anonymous (DegreeOne,
 // EvenCycle) and identifier-dependent (Shatter), over exhaustive labeling
-// enumerations.
+// enumerations, both as one sequential builder and sharded across workers.
 func TestBuildMatchesReference(t *testing.T) {
+	evenFam, err := decoders.EvenCycleFamily(4, 6, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.MustCycle(4)
+	shatterInst := core.Instance{G: g, Prt: graph.DefaultPorts(g), IDs: graph.SequentialIDs(4), NBound: 4}
 	cases := []struct {
 		name string
 		d    core.Decoder
-		enum func() Enumerator
+		se   ShardedEnumerator
 	}{
-		{
-			"degree-one-exhaustive-n4",
-			decoders.DegreeOne().Decoder,
-			func() Enumerator {
-				return AllLabelings(decoders.DegOneAlphabet(), decoders.DegOneFamily(4)...)
-			},
-		},
-		{
-			"even-cycle-certified",
-			decoders.EvenCycle().Decoder,
-			func() Enumerator {
-				ls, err := decoders.EvenCycleFamily(4, 6, 8)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return FromLabeled(ls...)
-			},
-		},
-		{
-			"shatter-with-ids",
-			decoders.Shatter().Decoder,
-			func() Enumerator {
-				g := graph.MustCycle(4)
-				inst := core.Instance{G: g, Prt: graph.DefaultPorts(g), IDs: graph.SequentialIDs(4), NBound: 4}
-				return AllLabelings([]string{"0", "1"}, inst)
-			},
-		},
+		{"degree-one-exhaustive-n4", decoders.DegreeOne().Decoder,
+			AllLabelings(decoders.DegOneAlphabet(), decoders.DegOneFamily(4)...)},
+		{"even-cycle-certified", decoders.EvenCycle().Decoder, FromLabeled(evenFam...)},
+		{"shatter-with-ids", decoders.Shatter().Decoder, AllLabelings([]string{"0", "1"}, shatterInst)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			keys, edges, loops := referenceBuild(t, tc.d, tc.enum())
-			ng, err := Build(tc.d, tc.enum())
-			if err != nil {
-				t.Fatal(err)
+			keys, edges, loops := referenceBuild(t, tc.d, tc.se.Sequential())
+			for _, c := range []struct{ shards, workers int }{{1, 1}, {4, 3}} {
+				ng, err := Build(nil, obs.Scope{}, tc.d, tc.se, c.shards, c.workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				compareAgainstReference(t, ng, keys, edges, loops)
 			}
-			compareAgainstReference(t, ng, keys, edges, loops)
-
-			// The sharded construction must agree bit-for-bit as well.
-			sng, err := BuildSharded(tc.d, shardedFromEnum(tc.enum), 4, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			compareAgainstReference(t, sng, keys, edges, loops)
 		})
-	}
-}
-
-// shardedFromEnum adapts an enumerator factory to a ShardedEnumerator whose
-// shards split the stream round-robin.
-func shardedFromEnum(mk func() Enumerator) ShardedEnumerator {
-	return &sharded{
-		seq: mk(),
-		shard: func(i, k int) Enumerator {
-			return func(yield func(core.Labeled) bool) error {
-				j := 0
-				return mk()(func(l core.Labeled) bool {
-					use := j%k == i
-					j++
-					if !use {
-						return true
-					}
-					return yield(l)
-				})
-			}
-		},
 	}
 }

@@ -13,143 +13,56 @@ import (
 )
 
 // ShardedEnumerator describes a labeled-instance space that can be
-// deterministically partitioned into disjoint sub-enumerators, so that the
-// parallel drivers (BuildSharded, ForEachShard) can feed independent
-// workers without a single producer goroutine on the hot path.
+// deterministically partitioned into disjoint sub-enumerators, so that
+// Build can feed independent workers without a single producer goroutine
+// on the hot path. Every enumerator constructor of this package returns
+// one.
 //
 // The contract, pinned by the property tests in shard_test.go:
 //
-//   - Sequential() enumerates the whole space in the canonical order the
-//     non-sharded enumerator of the same family uses.
+//   - Sequential() enumerates the whole space in the family's canonical
+//     order.
 //   - Shards(k) splits the space into k enumerators. Every instance of
 //     Sequential() is produced by exactly one shard (no duplicates, no
 //     omissions), and each shard preserves the relative sequential order.
 //   - k <= 1 yields the sequential enumeration as a single shard.
 //
 // Because the partition is deterministic and results merge through
-// order-insensitive set union (see BuildSharded), every consumer is
-// bit-identical to its sequential counterpart at any shard/worker count.
+// order-insensitive set union (see Build), every consumer is bit-identical
+// to its sequential counterpart at any shard/worker count.
 type ShardedEnumerator interface {
 	Sequential() Enumerator
 	Shards(k int) []Enumerator
 }
 
-// sharded is the concrete ShardedEnumerator: a canonical sequential order
-// plus a constructor for the i-th of k sub-enumerators.
-type sharded struct {
-	seq   Enumerator
-	shard func(i, k int) Enumerator
-}
+// shardFunc is the concrete ShardedEnumerator: f(i, k) is the i-th of k
+// sub-enumerators, and f(0, 1) is the canonical sequential order.
+type shardFunc func(i, k int) Enumerator
 
-func (s *sharded) Sequential() Enumerator { return s.seq }
+func (f shardFunc) Sequential() Enumerator { return f(0, 1) }
 
-func (s *sharded) Shards(k int) []Enumerator {
+func (f shardFunc) Shards(k int) []Enumerator {
 	if k <= 1 {
-		return []Enumerator{s.seq}
+		return []Enumerator{f(0, 1)}
 	}
 	out := make([]Enumerator, k)
 	for i := range out {
-		out[i] = s.shard(i, k)
+		out[i] = f(i, k)
 	}
 	return out
 }
 
 // subList returns every k-th element of xs starting at i — the index-residue
-// slice used to shard finite instance lists.
+// slice used to shard finite instance lists. k <= 1 is the whole list.
 func subList[T any](xs []T, i, k int) []T {
+	if k <= 1 {
+		return xs
+	}
 	var out []T
 	for j := i; j < len(xs); j += k {
 		out = append(out, xs[j])
 	}
 	return out
-}
-
-// ShardedFromLabeled is FromLabeled with index-residue sharding: shard i of
-// k holds the instances at positions i, i+k, i+2k, ...
-func ShardedFromLabeled(insts ...core.Labeled) ShardedEnumerator {
-	return &sharded{
-		seq:   FromLabeled(insts...),
-		shard: func(i, k int) Enumerator { return FromLabeled(subList(insts, i, k)...) },
-	}
-}
-
-// ShardedProverLabeled is ProverLabeled with index-residue sharding over the
-// instance list. Each shard runs the prover only on its own instances, so
-// certification cost parallelizes along with view extraction.
-func ShardedProverLabeled(s core.Scheme, insts ...core.Instance) ShardedEnumerator {
-	return &sharded{
-		seq:   ProverLabeled(s, insts...),
-		shard: func(i, k int) Enumerator { return ProverLabeled(s, subList(insts, i, k)...) },
-	}
-}
-
-// ShardedAllLabelings is AllLabelings with the labeling space of every
-// instance split by labeling prefix (graph.EnumLabelingsShard): all shards
-// walk the instance list in order, each enumerating only its own slice of
-// the |alphabet|^n labelings.
-func ShardedAllLabelings(alphabet []string, insts ...core.Instance) ShardedEnumerator {
-	return &sharded{
-		seq:   allLabelingsShard(alphabet, insts, 0, 1),
-		shard: func(i, k int) Enumerator { return allLabelingsShard(alphabet, insts, i, k) },
-	}
-}
-
-// ShardedAllPortsAllLabelings is AllPortsAllLabelings sharded on the
-// labeling dimension: every shard ranges over every port assignment but
-// enumerates only its own labeling-prefix slice under each.
-func ShardedAllPortsAllLabelings(alphabet []string, insts ...core.Instance) ShardedEnumerator {
-	return &sharded{
-		seq:   allPortsAllLabelingsShard(alphabet, insts, 0, 1),
-		shard: func(i, k int) Enumerator { return allPortsAllLabelingsShard(alphabet, insts, i, k) },
-	}
-}
-
-// ShardedChain concatenates sharded enumerators: the sequential order chains
-// the children's sequential orders, and shard i chains the children's i-th
-// shards, preserving disjointness and relative order.
-func ShardedChain(ses ...ShardedEnumerator) ShardedEnumerator {
-	return &sharded{
-		seq: func(yield func(core.Labeled) bool) error {
-			enums := make([]Enumerator, len(ses))
-			for j, se := range ses {
-				enums[j] = se.Sequential()
-			}
-			return Chain(enums...)(yield)
-		},
-		shard: func(i, k int) Enumerator {
-			return func(yield func(core.Labeled) bool) error {
-				enums := make([]Enumerator, len(ses))
-				for j, se := range ses {
-					enums[j] = se.Shards(k)[i]
-				}
-				return Chain(enums...)(yield)
-			}
-		},
-	}
-}
-
-// ShardEnumerator adapts an arbitrary Enumerator: shard i of k walks the
-// full enumeration and keeps the instances at sequence positions ≡ i mod k.
-// Enumeration work is repeated per shard — use the family-specific sharded
-// constructors when available, and this fallback when only the expensive
-// per-instance consumption (view extraction, decoding) needs to scale.
-func ShardEnumerator(e Enumerator) ShardedEnumerator {
-	return &sharded{
-		seq: e,
-		shard: func(i, k int) Enumerator {
-			return func(yield func(core.Labeled) bool) error {
-				idx := 0
-				return e(func(l core.Labeled) bool {
-					mine := idx%k == i
-					idx++
-					if !mine {
-						return true
-					}
-					return yield(l)
-				})
-			}
-		},
-	}
 }
 
 // defaultShardCount oversubscribes workers so that the work-stealing drivers
@@ -170,44 +83,22 @@ func resolveShardsWorkers(shards, workers int) (int, int) {
 	return shards, workers
 }
 
-// ForEachShard drives the shards of se through a pool of workers. Workers
+// forEachShard drives the shards of se through a pool of workers. Workers
 // claim unstarted shards from a shared counter (work stealing), so fn must
 // be safe for concurrent calls from different worker indices; calls with
 // the same worker index are sequential. Returning false from fn stops the
 // whole drive early. shards <= 0 selects 4 per worker; workers <= 0 selects
-// GOMAXPROCS.
+// GOMAXPROCS. When several shards fail, the error of the lowest-numbered
+// failing shard is reported, keeping the result independent of scheduling.
 //
-// When several shards fail, the error of the lowest-numbered failing shard
-// is reported, keeping the result independent of scheduling.
-func ForEachShard(se ShardedEnumerator, shards, workers int, fn func(worker int, l core.Labeled) bool) error {
-	return forEachShard(nil, obs.Scope{}, se, shards, workers, fn)
-}
-
-// ForEachShardScoped is ForEachShard reporting into an observability scope:
-// it counts completed and stolen shards (a steal is any claim beyond a
+// sc counts completed and stolen shards (a steal is any claim beyond a
 // worker's first), advances the scope's progress phase by one per finished
 // shard, and emits a per-shard completion event when a tracer is attached.
-// A zero Scope makes every instrument call a nil-receiver no-op, so the
-// uninstrumented path keeps its exact historical behavior and cost.
-func ForEachShardScoped(sc obs.Scope, se ShardedEnumerator, shards, workers int, fn func(worker int, l core.Labeled) bool) error {
-	return forEachShard(nil, sc, se, shards, workers, fn)
-}
-
-// ForEachShardCtx is ForEachShardScoped under cooperative cancellation.
-// When ctx fires, the drive stops at the next per-instance checkpoint —
-// the same stop flag every worker already polls between instances, so a
-// never-cancelled context adds exactly one armed watcher goroutine and
-// nothing to the per-instance hot path (pinned by
-// BenchmarkBuildShardedCtx) — and the error wraps context.Cause(ctx). The
-// engine layer re-tags such errors as engine.ErrCancelled.
-func ForEachShardCtx(ctx context.Context, sc obs.Scope, se ShardedEnumerator, shards, workers int, fn func(worker int, l core.Labeled) bool) error {
-	return forEachShard(ctx, sc, se, shards, workers, fn)
-}
-
-// forEachShard is the one work-stealing drive beneath the three exported
-// variants. A nil ctx is the never-cancelled context (see internal/cancel):
-// the bare and Scoped entry points pass nil rather than manufacturing a
-// background context, which the ctxflow analyzer forbids in this package.
+// A nil ctx is the never-cancelled context (internal/cancel); when ctx
+// fires, the drive stops at the next per-instance checkpoint — the same
+// stop flag every worker already polls between instances — and the error
+// wraps context.Cause(ctx). The engine layer re-tags such errors as
+// engine.ErrCancelled.
 func forEachShard(ctx context.Context, sc obs.Scope, se ShardedEnumerator, shards, workers int, fn func(worker int, l core.Labeled) bool) error {
 	shards, workers = resolveShardsWorkers(shards, workers)
 	enums := se.Shards(shards)
@@ -285,12 +176,12 @@ func forEachShard(ctx context.Context, sc obs.Scope, se ShardedEnumerator, shard
 	return nil
 }
 
-// CountInstances drains the sharded enumerator through ForEachShard and
-// returns the number of instances produced — the raw enumeration-throughput
-// probe used by BenchmarkShardedEnumeration.
+// CountInstances drains the sharded enumerator through the work-stealing
+// drive and returns the number of instances produced — the raw
+// enumeration-throughput probe used by BenchmarkShardedEnumeration.
 func CountInstances(se ShardedEnumerator, shards, workers int) (int, error) {
 	var n atomic.Int64
-	err := ForEachShard(se, shards, workers, func(int, core.Labeled) bool {
+	err := forEachShard(nil, obs.Scope{}, se, shards, workers, func(int, core.Labeled) bool {
 		n.Add(1)
 		return true
 	})

@@ -9,6 +9,7 @@ import (
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/decoders"
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/obs"
 )
 
 var shardCounts = []int{1, 2, 3, 7, 16}
@@ -117,18 +118,14 @@ func TestShardedEnumeratorPartition(t *testing.T) {
 		name string
 		se   ShardedEnumerator
 	}{
-		{"FromLabeled/even-cycle", ShardedFromLabeled(evenFam...)},
-		{"FromLabeled/watermelon", ShardedFromLabeled(melonFam...)},
-		{"ProverLabeled/degree-one", ShardedProverLabeled(decoders.DegreeOne(), degFam...)},
-		{"AllLabelings", ShardedAllLabelings([]string{"0", "1", "x"}, smallInstances()...)},
-		{"AllPortsAllLabelings", ShardedAllPortsAllLabelings([]string{"0", "1"}, smallInstances()[:2]...)},
-		{"ShardEnumerator/chain", ShardEnumerator(Chain(
+		{"FromLabeled/even-cycle", FromLabeled(evenFam...)},
+		{"FromLabeled/watermelon", FromLabeled(melonFam...)},
+		{"ProverLabeled/degree-one", ProverLabeled(decoders.DegreeOne(), degFam...)},
+		{"AllLabelings", AllLabelings([]string{"0", "1", "x"}, smallInstances()...)},
+		{"AllPortsAllLabelings", AllPortsAllLabelings([]string{"0", "1"}, smallInstances()[:2]...)},
+		{"ShardedChain", Chain(
 			FromLabeled(evenFam[:6]...),
 			AllLabelings([]string{"a", "b"}, core.NewAnonymousInstance(graph.Path(4))),
-		))},
-		{"ShardedChain", ShardedChain(
-			ShardedFromLabeled(evenFam[:6]...),
-			ShardedAllLabelings([]string{"a", "b"}, core.NewAnonymousInstance(graph.Path(4))),
 		)},
 	}
 	for _, f := range families {
@@ -137,7 +134,7 @@ func TestShardedEnumeratorPartition(t *testing.T) {
 }
 
 func TestShardedEnumeratorEarlyStop(t *testing.T) {
-	se := ShardedAllLabelings([]string{"0", "1"}, smallInstances()...)
+	se := AllLabelings([]string{"0", "1"}, smallInstances()...)
 	for _, k := range []int{1, 3} {
 		for s, shard := range se.Shards(k) {
 			count := 0
@@ -177,9 +174,10 @@ func ngEqual(a, b *NGraph) string {
 }
 
 // TestBuildShardedDecoderEquivalence: for every decoder in
-// internal/decoders, BuildSharded produces a neighborhood graph deep-equal
-// to the sequential Build at every shard/worker combination. This is the
-// headline equivalence property of the sharded enumeration layer.
+// internal/decoders, Build produces a neighborhood graph deep-equal to the
+// single-builder sequential Build (shards = workers = 1) at every
+// shard/worker combination. This is the headline equivalence property of
+// the sharded enumeration layer.
 func TestBuildShardedDecoderEquivalence(t *testing.T) {
 	shatterL1, shatterL2 := decoders.ShatterHidingPair()
 	melonFam, err := decoders.WatermelonHidingFamily()
@@ -196,25 +194,25 @@ func TestBuildShardedDecoderEquivalence(t *testing.T) {
 		d    core.Decoder
 		se   ShardedEnumerator
 	}{
-		{"trivial2", decoders.Trivial(2).Decoder, ShardedAllLabelings([]string{"0", "1"}, degInsts...)},
-		{"trivial3", decoders.Trivial(3).Decoder, ShardedAllLabelings([]string{"0", "1", "2"}, degInsts[:2]...)},
-		{"degree-one", decoders.DegreeOne().Decoder, ShardedAllLabelings(decoders.DegOneAlphabet(), decoders.DegOneFamily(3)...)},
-		{"degree-one-k3", decoders.DegreeOneK(3).Decoder, ShardedAllLabelings(decoders.DegOneKAlphabet(3), degInsts...)},
-		{"even-cycle", decoders.EvenCycle().Decoder, ShardedFromLabeled(evenFam...)},
-		{"union", decoders.Union().Decoder, ShardedAllLabelings(decoders.DegOneAlphabet(), decoders.DegOneFamily(3)...)},
-		{"shatter", decoders.Shatter().Decoder, ShardedFromLabeled(shatterL1, shatterL2)},
-		{"shatter-literal", decoders.ShatterLiteral().Decoder, ShardedFromLabeled(shatterL1, shatterL2)},
-		{"watermelon", decoders.Watermelon().Decoder, ShardedFromLabeled(melonFam...)},
+		{"trivial2", decoders.Trivial(2).Decoder, AllLabelings([]string{"0", "1"}, degInsts...)},
+		{"trivial3", decoders.Trivial(3).Decoder, AllLabelings([]string{"0", "1", "2"}, degInsts[:2]...)},
+		{"degree-one", decoders.DegreeOne().Decoder, AllLabelings(decoders.DegOneAlphabet(), decoders.DegOneFamily(3)...)},
+		{"degree-one-k3", decoders.DegreeOneK(3).Decoder, AllLabelings(decoders.DegOneKAlphabet(3), degInsts...)},
+		{"even-cycle", decoders.EvenCycle().Decoder, FromLabeled(evenFam...)},
+		{"union", decoders.Union().Decoder, AllLabelings(decoders.DegOneAlphabet(), decoders.DegOneFamily(3)...)},
+		{"shatter", decoders.Shatter().Decoder, FromLabeled(shatterL1, shatterL2)},
+		{"shatter-literal", decoders.ShatterLiteral().Decoder, FromLabeled(shatterL1, shatterL2)},
+		{"watermelon", decoders.Watermelon().Decoder, FromLabeled(melonFam...)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			seq, err := Build(c.d, c.se.Sequential())
+			seq, err := buildSeq(c.d, c.se)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 2, 7} {
 				for _, shards := range []int{0, 1, 3, 16} {
-					par, err := BuildSharded(c.d, c.se, shards, workers)
+					par, err := Build(nil, obs.Scope{}, c.d, c.se, shards, workers)
 					if err != nil {
 						t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
 					}
@@ -229,12 +227,12 @@ func TestBuildShardedDecoderEquivalence(t *testing.T) {
 
 func TestForEachShardEarlyStopAndErrors(t *testing.T) {
 	insts := smallInstances()
-	se := ShardedAllLabelings([]string{"0", "1"}, insts...)
+	se := AllLabelings([]string{"0", "1"}, insts...)
 	// Early stop: fn returning false halts the drive; the count stays well
 	// below the full space.
 	var mu sync.Mutex
 	count := 0
-	if err := ForEachShard(se, 4, 2, func(_ int, _ core.Labeled) bool {
+	if err := forEachShard(nil, obs.Scope{}, se, 4, 2, func(_ int, _ core.Labeled) bool {
 		mu.Lock()
 		defer mu.Unlock()
 		count++
@@ -251,13 +249,13 @@ func TestForEachShardEarlyStopAndErrors(t *testing.T) {
 	}
 	// Errors: an invalid instance surfaces from whichever shard owns it.
 	bad := core.Labeled{Instance: core.Instance{G: graph.Path(2)}, Labels: []string{"a", "b"}}
-	if err := ForEachShard(ShardedFromLabeled(bad), 3, 2, func(int, core.Labeled) bool { return true }); err == nil {
+	if err := forEachShard(nil, obs.Scope{}, FromLabeled(bad), 3, 2, func(int, core.Labeled) bool { return true }); err == nil {
 		t.Error("invalid instance not reported")
 	}
 }
 
 func TestCountInstancesMatchesSequential(t *testing.T) {
-	se := ShardedAllLabelings([]string{"0", "1", "2"}, smallInstances()...)
+	se := AllLabelings([]string{"0", "1", "2"}, smallInstances()...)
 	want := len(drain(t, se.Sequential()))
 	for _, k := range shardCounts {
 		got, err := CountInstances(se, k, 3)

@@ -309,7 +309,7 @@ func TestServerScrapeDuringLiveBuild(t *testing.T) {
 	go func() {
 		s := decoders.DegreeOne()
 		fam := decoders.DegOneFamily(3)
-		_, err := nbhd.BuildShardedScoped(sc, s.Decoder, nbhd.ShardedAllLabelings(decoders.DegOneAlphabet(), fam...), 8, 4)
+		_, err := nbhd.Build(nil, sc, s.Decoder, nbhd.AllLabelings(decoders.DegOneAlphabet(), fam...), 8, 4)
 		done <- err
 	}()
 

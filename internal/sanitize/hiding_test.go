@@ -66,10 +66,10 @@ func TestHidingScopedPipelines(t *testing.T) {
 	tr := obs.NewTracer(256)
 	sc := obs.NewScope().WithTracer(tr).WithProgress(prog)
 
-	if _, err := nbhd.BuildShardedScoped(sc, markerDecoder{}, nbhd.ShardedAllLabelings(alpha, inst), 4, 2); err != nil {
+	if _, err := nbhd.Build(nil, sc, markerDecoder{}, nbhd.AllLabelings(alpha, inst), 4, 2); err != nil {
 		t.Fatal(err)
 	}
-	runErr := core.ExhaustiveStrongSoundnessParallelScoped(sc, markerDecoder{}, core.TwoCol(), inst, alpha, 4, 2)
+	runErr := core.ExhaustiveStrongSoundnessParallelCtx(nil, sc, markerDecoder{}, core.TwoCol(), inst, alpha, 4, 2)
 	prog.Close()
 
 	var traceBuf bytes.Buffer
@@ -109,10 +109,10 @@ func TestHidingLiveTelemetryPlane(t *testing.T) {
 	tr := obs.NewTracer(256)
 	sc := obs.NewScope().WithTracer(tr).WithEvents(log, obs.NewRunID("hiding"))
 
-	if _, err := nbhd.BuildShardedScoped(sc, markerDecoder{}, nbhd.ShardedAllLabelings(alpha, inst), 4, 2); err != nil {
+	if _, err := nbhd.Build(nil, sc, markerDecoder{}, nbhd.AllLabelings(alpha, inst), 4, 2); err != nil {
 		t.Fatal(err)
 	}
-	if runErr := core.ExhaustiveStrongSoundnessParallelScoped(sc, markerDecoder{}, core.TwoCol(), inst, alpha, 4, 2); runErr != nil {
+	if runErr := core.ExhaustiveStrongSoundnessParallelCtx(nil, sc, markerDecoder{}, core.TwoCol(), inst, alpha, 4, 2); runErr != nil {
 		assertHidden(t, "soundness sweep error", runErr.Error())
 	}
 

@@ -1,7 +1,7 @@
 // Goroutine-leak probe: the dynamic complement of the concurrency
 // analyzers (atomicmix, loopcapture, wgmisuse). The parallel pipelines —
-// nbhd.BuildSharded's work-stealing builders and
-// core.ExhaustiveStrongSoundnessParallel's searchers — promise that every
+// nbhd.Build's work-stealing builders and
+// core.ExhaustiveStrongSoundnessParallelCtx's searchers — promise that every
 // goroutine they spawn has exited by the time they return. A worker that
 // outlives its barrier is a latent bug even when the answer is right: it
 // holds shard state alive, keeps racing with the next phase, and
@@ -19,6 +19,7 @@ import (
 
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/nbhd"
+	"hidinglcp/internal/obs"
 )
 
 // GoroutineInfo describes one live goroutine from a runtime stack dump.
@@ -101,14 +102,14 @@ func LeakCheck(f func()) *LeakReport {
 	return &LeakReport{Before: len(before), After: len(after), Leaked: leaked}
 }
 
-// ProbeBuildSharded runs nbhd.BuildSharded under the leak probe. The
+// ProbeBuildSharded runs a sharded nbhd.Build under the leak probe. The
 // builder's contract is that its worker pool has fully exited on return;
 // a non-nil LeakReport is a contract violation regardless of err.
 func ProbeBuildSharded(d core.Decoder, se nbhd.ShardedEnumerator, shards, workers int) (*nbhd.NGraph, *LeakReport, error) {
 	var g *nbhd.NGraph
 	var err error
 	leak := LeakCheck(func() {
-		g, err = nbhd.BuildSharded(d, se, shards, workers)
+		g, err = nbhd.Build(nil, obs.Scope{}, d, se, shards, workers)
 	})
 	return g, leak, err
 }
@@ -118,7 +119,7 @@ func ProbeBuildSharded(d core.Decoder, se nbhd.ShardedEnumerator, shards, worker
 func ProbeExhaustiveStrongSoundnessParallel(d core.Decoder, lang core.Language, inst core.Instance, alphabet []string, shards, workers int) (*LeakReport, error) {
 	var err error
 	leak := LeakCheck(func() {
-		err = core.ExhaustiveStrongSoundnessParallel(d, lang, inst, alphabet, shards, workers)
+		err = core.ExhaustiveStrongSoundnessParallelCtx(nil, obs.Scope{}, d, lang, inst, alphabet, shards, workers)
 	})
 	return leak, err
 }
@@ -144,7 +145,7 @@ func goroutineSnapshot() []GoroutineInfo {
 //	goroutine 18 [chan receive]:
 //	hidinglcp/internal/nbhd.worker(...)
 //		/path/shard.go:203 +0x1b
-//	created by hidinglcp/internal/nbhd.BuildSharded in goroutine 1
+//	created by hidinglcp/internal/nbhd.forEachShard in goroutine 1
 //		/path/parallel.go:30 +0x5c
 func parseGoroutineDump(dump string) []GoroutineInfo {
 	var out []GoroutineInfo

@@ -101,13 +101,13 @@ func TestLeakCheckGrantsDrainGrace(t *testing.T) {
 }
 
 // TestProbeBuildSharded pins the shipped builder to its cleanup contract:
-// the work-stealing pool must be fully exited when BuildSharded returns.
+// the work-stealing pool must be fully exited when nbhd.Build returns.
 func TestProbeBuildSharded(t *testing.T) {
 	s := decoders.DegreeOne()
 	fam := decoders.DegOneFamily(3)
 	alpha := decoders.DegOneAlphabet()
 
-	g, leak, err := sanitize.ProbeBuildSharded(s.Decoder, nbhd.ShardedAllLabelings(alpha, fam...), 8, 4)
+	g, leak, err := sanitize.ProbeBuildSharded(s.Decoder, nbhd.AllLabelings(alpha, fam...), 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestProbeBuildSharded(t *testing.T) {
 		t.Fatal("probe returned no graph")
 	}
 	if leak != nil {
-		t.Fatalf("BuildSharded leaked goroutines: %v", leak.Error())
+		t.Fatalf("Build leaked goroutines: %v", leak.Error())
 	}
 }
 

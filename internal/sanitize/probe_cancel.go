@@ -1,5 +1,5 @@
 // Cancellation probes: the dynamic complement of the ctxflow analyzer.
-// The context-threaded pipelines (nbhd.BuildShardedCtx,
+// The context-threaded pipelines (nbhd.Build,
 // core.ExhaustiveStrongSoundnessParallelCtx) promise that when the caller's
 // context fires mid-run, every worker exits at its next shard/instance
 // checkpoint, the work-stealing queue stops handing out claims, no partial
@@ -118,7 +118,7 @@ func ProbeBuildShardedCancel(d core.Decoder, se nbhd.ShardedEnumerator, shards, 
 	var g *nbhd.NGraph
 	leak, err, decided := cancelMidRun(gate, func(ctx context.Context) error {
 		var buildErr error
-		g, buildErr = nbhd.BuildShardedCtx(ctx, sc, gate, se, shards, workers)
+		g, buildErr = nbhd.Build(ctx, sc, gate, se, shards, workers)
 		return buildErr
 	})
 	if leak != nil {

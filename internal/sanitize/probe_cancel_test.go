@@ -20,9 +20,9 @@ func TestProbeBuildShardedCancel(t *testing.T) {
 	alpha := decoders.DegOneAlphabet()
 
 	leak, err := sanitize.ProbeBuildShardedCancel(
-		s.Decoder, nbhd.ShardedAllLabelings(alpha, fam...), 64, 4)
+		s.Decoder, nbhd.AllLabelings(alpha, fam...), 64, 4)
 	if leak != nil {
-		t.Fatalf("cancelled BuildSharded leaked goroutines: %v", leak.Error())
+		t.Fatalf("cancelled Build leaked goroutines: %v", leak.Error())
 	}
 	if err != nil {
 		t.Fatalf("cancellation contract violated: %v", err)

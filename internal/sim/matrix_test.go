@@ -8,6 +8,7 @@ import (
 	"hidinglcp/internal/decoders"
 	"hidinglcp/internal/faults"
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/obs"
 )
 
 // matrixGraphs is the generator side of the differential matrix: one
@@ -36,9 +37,8 @@ func matrixGraphs(t *testing.T) []struct {
 }
 
 // TestDifferentialMatrix runs the full decoder × generator matrix and
-// checks that all four view pipelines agree node-by-node: centralized
-// extraction, sequential simulation, goroutine-per-node simulation, and
-// the fault runtime under the zero-value plan. The radii exercised are
+// checks that the simulator under the zero-value plan agrees node-by-node
+// with centralized extraction (view.Extract, the reference oracle). The radii exercised are
 // exactly the registered decoders' radii — the ones the schemes run at.
 func TestDifferentialMatrix(t *testing.T) {
 	// Collect the distinct verification radii of every registered scheme.
@@ -65,15 +65,7 @@ func TestDifferentialMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				par, _, err := Gather(l, r)
-				if err != nil {
-					t.Fatal(err)
-				}
-				seq, _, err := GatherSequential(l, r)
-				if err != nil {
-					t.Fatal(err)
-				}
-				zero, _, rep, err := GatherFaults(l, r, faults.Plan{})
+				zero, _, rep, err := GatherFaultsCtx(nil, obs.Scope{}, l, r, faults.Plan{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -81,15 +73,8 @@ func TestDifferentialMatrix(t *testing.T) {
 					t.Fatalf("zero plan produced faults: %s", s)
 				}
 				for v := range want {
-					wk := want[v].Key()
-					if par[v].Key() != wk {
-						t.Errorf("node %d: Gather differs from Extract", v)
-					}
-					if seq[v].Key() != wk {
-						t.Errorf("node %d: GatherSequential differs from Extract", v)
-					}
-					if zero[v].Key() != wk {
-						t.Errorf("node %d: zero-plan GatherFaults differs from Extract", v)
+					if zero[v].Key() != want[v].Key() {
+						t.Errorf("node %d: zero-plan gather differs from Extract", v)
 					}
 				}
 			})
@@ -127,7 +112,7 @@ func TestSchemeMatrixZeroPlan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fr, err := RunSchemeFaults(s, inst, faults.Plan{})
+			fr, err := RunSchemeFaultsCtx(nil, obs.Scope{}, s, inst, faults.Plan{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,12 +3,21 @@ package sim
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/decoders"
+	"hidinglcp/internal/faults"
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/obs"
+	"hidinglcp/internal/view"
 )
+
+// gather is the fault-free, never-cancelled, uninstrumented run of the
+// scheduler: GatherFaultsCtx under the zero-value plan.
+func gather(l core.Labeled, r int) ([]*view.View, Stats, error) {
+	views, stats, _, err := GatherFaultsCtx(nil, obs.Scope{}, l, r, faults.Plan{})
+	return views, stats, err
+}
 
 func labeled(g *graph.Graph, labels []string) core.Labeled {
 	return core.MustNewLabeled(core.NewInstance(g), labels)
@@ -31,7 +40,7 @@ func TestGatherMatchesExtract(t *testing.T) {
 		g := graph.ConnectedGNP(3+rng.Intn(7), 0.4, rng)
 		l := labeled(g, randomLabels(g.N(), rng))
 		r := rng.Intn(3)
-		got, _, err := Gather(l, r)
+		got, _, err := gather(l, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,32 +57,10 @@ func TestGatherMatchesExtract(t *testing.T) {
 	}
 }
 
-func TestGatherSequentialMatchesExtract(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 30; trial++ {
-		g := graph.ConnectedGNP(3+rng.Intn(7), 0.4, rng)
-		l := labeled(g, randomLabels(g.N(), rng))
-		r := rng.Intn(3)
-		got, _, err := GatherSequential(l, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := l.Views(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := range got {
-			if got[v].Key() != want[v].Key() {
-				t.Fatalf("trial %d node %d: sequential view differs", trial, v)
-			}
-		}
-	}
-}
-
 func TestGatherStats(t *testing.T) {
 	g := graph.MustCycle(6)
 	l := labeled(g, make([]string, 6))
-	_, stats, err := Gather(l, 3)
+	_, stats, err := gather(l, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +79,7 @@ func TestGatherStats(t *testing.T) {
 func TestGatherRadiusZero(t *testing.T) {
 	g := graph.Path(4)
 	l := labeled(g, []string{"a", "b", "c", "d"})
-	views, stats, err := Gather(l, 0)
+	views, stats, err := gather(l, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +95,8 @@ func TestGatherRadiusZero(t *testing.T) {
 
 func TestGatherNegativeRadius(t *testing.T) {
 	l := labeled(graph.Path(2), []string{"", ""})
-	if _, _, err := Gather(l, -1); err == nil {
+	if _, _, err := gather(l, -1); err == nil {
 		t.Error("negative radius accepted")
-	}
-	if _, _, err := GatherSequential(l, -1); err == nil {
-		t.Error("negative radius accepted (sequential)")
 	}
 }
 
@@ -120,7 +104,7 @@ func TestGatherFrontierTruncation(t *testing.T) {
 	// Triangle at radius 1: no gathered view may contain the far edge.
 	g := graph.MustCycle(3)
 	l := labeled(g, make([]string, 3))
-	views, _, err := Gather(l, 1)
+	views, _, err := gather(l, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,56 +156,19 @@ func TestRunSchemeRejectsOutsidePromise(t *testing.T) {
 }
 
 // TestGatherMalformedPorts: a port assignment that does not cover the
-// instance's edges must surface as an error from both gather paths, not a
-// panic mid-flood. Star(4)'s ports cover only edges incident to the hub,
+// instance's edges must surface as an error from the gather, not a panic
+// mid-flood. Star(4)'s ports cover only edges incident to the hub,
 // so running them against Path(4) (which has edge 2-3) is malformed.
 func TestGatherMalformedPorts(t *testing.T) {
 	g := graph.Path(4)
 	inst := core.NewInstance(g).WithPorts(graph.DefaultPorts(graph.Star(4)))
 	l := core.MustNewLabeled(inst, make([]string, 4))
-	if _, _, err := Gather(l, 1); err == nil {
-		t.Error("Gather accepted a malformed port assignment")
-	}
-	if _, _, err := GatherSequential(l, 1); err == nil {
-		t.Error("GatherSequential accepted a malformed port assignment")
+	if _, _, err := gather(l, 1); err == nil {
+		t.Error("gather accepted a malformed port assignment")
 	}
 	// A nil port assignment is the degenerate malformed case.
 	l.Prt = nil
-	if _, _, err := Gather(l, 1); err == nil {
-		t.Error("Gather accepted a nil port assignment")
-	}
-	if _, _, err := GatherSequential(l, 1); err == nil {
-		t.Error("GatherSequential accepted a nil port assignment")
-	}
-}
-
-// Property: parallel and sequential gathering agree on all views and on
-// message counts.
-func TestGatherParallelSequentialAgree(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := graph.ConnectedGNP(3+rng.Intn(6), 0.5, rng)
-		l := labeled(g, randomLabels(g.N(), rng))
-		r := 1 + rng.Intn(2)
-		a, sa, err := Gather(l, r)
-		if err != nil {
-			return false
-		}
-		b, sb, err := GatherSequential(l, r)
-		if err != nil {
-			return false
-		}
-		if sa.Messages != sb.Messages {
-			return false
-		}
-		for v := range a {
-			if a[v].Key() != b[v].Key() {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
+	if _, _, err := gather(l, 1); err == nil {
+		t.Error("gather accepted a nil port assignment")
 	}
 }
