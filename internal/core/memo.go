@@ -36,9 +36,9 @@ type MemoDecoder struct {
 var _ Decoder = (*MemoDecoder)(nil)
 
 // NewMemoDecoder wraps d with a fresh memo over the given interner (a new
-// interner is created when in is nil). Callers that already intern views —
-// the neighborhood-graph builders — share one interner between the memo and
-// their dedupe tables and use DecideInterned to skip the second key lookup.
+// interner is created when in is nil). Callers that already intern views
+// share one interner between the memo and their dedupe tables and use
+// DecideInterned to skip the second key lookup.
 func NewMemoDecoder(d Decoder, in *view.Interner) *MemoDecoder {
 	if in == nil {
 		in = view.NewInterner()

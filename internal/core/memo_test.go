@@ -2,11 +2,13 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/obs"
 	"hidinglcp/internal/view"
 )
 
@@ -235,5 +237,118 @@ func TestSweepFuzzMatchesReference(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSweepTableCounts pins the verdict-table bookkeeping on violation-free
+// one-worker sweeps: every verdict is either a table hit or a decoder call,
+// and a tabled node calls the decoder exactly once per neighborhood
+// labeling, while an untabled node (hosts = the whole instance) calls it
+// once per labeling.
+func TestSweepTableCounts(t *testing.T) {
+	alphabet := []string{"0", "1", "x"}
+	a := int64(len(alphabet))
+	pow := func(e int) int64 {
+		p := int64(1)
+		for i := 0; i < e; i++ {
+			p *= a
+		}
+		return p
+	}
+	for _, tc := range []struct {
+		name     string
+		g        *graph.Graph
+		untabled int
+	}{
+		{"gnp7", graph.ConnectedGNP(7, 0.4, rand.New(rand.NewSource(1))), 0},
+		{"star6", graph.Star(6), 1},
+		{"path3", graph.Path(3), 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inst := NewAnonymousInstance(tc.g)
+			n := tc.g.N()
+			s, err := newLabelSweep(revealDecoder(), TwoCol(), inst, alphabet)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wantInner int64
+			untabled := 0
+			for v := 0; v < n; v++ {
+				h := tc.g.Degree(v) + 1 // radius-1 view
+				if tabled := s.pows[v] != nil; tabled != (h < n) {
+					t.Fatalf("node %d with %d of %d hosts: tabled = %v", v, h, n, tabled)
+				}
+				if h < n {
+					wantInner += pow(h)
+				} else {
+					untabled++
+					wantInner += pow(n)
+				}
+			}
+			if untabled != tc.untabled {
+				t.Fatalf("%d untabled nodes, want %d", untabled, tc.untabled)
+			}
+
+			sc := obs.NewScope()
+			if err := ExhaustiveStrongSoundnessParallelCtx(nil, sc, revealDecoder(), TwoCol(), inst, alphabet, 8, 1); err != nil {
+				t.Fatal(err)
+			}
+			calls := sc.Counter("core.sweep.decide.calls").Value()
+			hits := sc.Counter("core.sweep.decide.memo_hits").Value()
+			inner := sc.Counter("core.sweep.decide.inner").Value()
+			if want := int64(n) * pow(n); calls != want {
+				t.Errorf("decide.calls = %d, want n·|Σ|^n = %d", calls, want)
+			}
+			if calls != hits+inner {
+				t.Errorf("decide.calls (%d) != memo_hits (%d) + inner (%d)", calls, hits, inner)
+			}
+			if inner != wantInner {
+				t.Errorf("decide.inner = %d, want Σ_tabled |Σ|^h + untabled·|Σ|^n = %d", inner, wantInner)
+			}
+		})
+	}
+}
+
+// TestLabelSweepTableCeiling checks table sizing without running a sweep:
+// the center of a 12-leaf star (13 hosts, one short of the instance) gets
+// a table at exactly maxTableEntries = 4^13 entries and none at 5^13, and
+// no table is allocated before the first lookup.
+func TestLabelSweepTableCeiling(t *testing.T) {
+	g, err := graph.AttachPendant(graph.Star(13), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := NewAnonymousInstance(g)
+	for _, tc := range []struct {
+		symbols int
+		tabled  bool
+	}{
+		{4, true},
+		{5, false},
+	} {
+		alphabet := make([]string, tc.symbols)
+		for i := range alphabet {
+			alphabet[i] = fmt.Sprint(i)
+		}
+		s, err := newLabelSweep(revealDecoder(), TwoCol(), inst, alphabet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.pows[0] != nil; got != tc.tabled {
+			t.Errorf("|Σ| = %d: center tabled = %v, want %v", tc.symbols, got, tc.tabled)
+		}
+		if tc.tabled && s.tabWords[0] != maxTableEntries*2/64 {
+			t.Errorf("|Σ| = %d: center table has %d words, want %d", tc.symbols, s.tabWords[0], maxTableEntries*2/64)
+		}
+		for v := 1; v < g.N(); v++ {
+			if s.pows[v] == nil {
+				t.Errorf("|Σ| = %d: node %d (%d hosts) has no table", tc.symbols, v, g.Degree(v)+1)
+			}
+		}
+		for v, tab := range s.tab {
+			if tab != nil {
+				t.Errorf("|Σ| = %d: node %d's table allocated before any lookup", tc.symbols, v)
+			}
+		}
 	}
 }

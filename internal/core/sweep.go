@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"hidinglcp/internal/obs"
 	"hidinglcp/internal/view"
@@ -11,10 +10,10 @@ import (
 
 // labelSweep accelerates repeated strong-soundness checks of many labelings
 // of one fixed instance: per-node view templates amortize extraction across
-// labelings (only the per-view label slice is rebuilt), and per-node
-// verdict memos keyed by the node's neighborhood labeling amortize decoder
-// calls. A labelSweep is not safe for concurrent use; the parallel drivers
-// give each worker its own.
+// labelings (only the per-view label slice is rebuilt), and per-node dense
+// verdict tables indexed by the rank of the node's neighborhood labeling
+// amortize decoder calls. A labelSweep is not safe for concurrent use; the
+// parallel drivers give each worker its own.
 //
 // The sweep reproduces the sequential check exactly: same decoder verdicts
 // (decoders are pure functions of the view), same induced subgraph, same
@@ -26,9 +25,15 @@ type labelSweep struct {
 	alphabet []string
 	tpl      []*view.Template
 	// pows[v][i] is |alphabet|^i for ranking node v's neighborhood labeling
-	// in check; nil when the rank would overflow uint64.
+	// in check; nil when node v gets no verdict table (see newLabelSweep),
+	// and then every check of v calls the decoder.
 	pows [][]uint64
-	memo []map[uint64]bool
+	// tab[v] is node v's verdict table: entry r (2 bits: known, accept) is
+	// the verdict for neighborhood-labeling rank r. It holds tabWords[v]
+	// words and is allocated on v's first lookup, so sweeps that never
+	// check a labeling pay nothing for it.
+	tab      [][]uint64
+	tabWords []int
 	// smemo memoizes checkLabels verdicts by the node's concatenated
 	// (length-prefixed) host labels, for label streams outside the alphabet.
 	smemo  []map[string]bool
@@ -52,7 +57,7 @@ type labelSweep struct {
 	// them after their WaitGroup barrier.
 	nChecked        int64 // labelings verified
 	nDecide         int64 // per-node verdicts requested
-	nDecideMemoHits int64 // verdicts served from the rank/string memos
+	nDecideMemoHits int64 // verdicts served from the rank tables or string memos
 	nDecideInner    int64 // verdicts that invoked the decoder
 	nLangEvals      int64 // language membership evaluations
 	nLangMemoHits   int64 // language verdicts served from the bitmask memo
@@ -72,16 +77,26 @@ func (s *labelSweep) harvest(sc obs.Scope) {
 	sc.Counter("core.sweep.lang.memo_hits").Add(s.nLangMemoHits)
 }
 
-// newLabelSweep extracts one view template per node of inst. The returned
-// error matches the text of the legacy per-labeling extraction error
-// ("node %d: ..."), which only triggers on malformed instances.
+// maxTableEntries caps one node's verdict table at 16 MiB (four 2-bit
+// entries per byte); a node whose neighborhood labelings outnumber it is
+// decided without a table.
+const maxTableEntries = (16 << 20) * 4
+
+// newLabelSweep extracts one view template per node of inst and sizes the
+// nodes' verdict tables. A node gets no table when its hosts cover the
+// whole instance (each of its ranks is then a whole labeling, which an
+// exhaustive sweep visits once, so a table could never hit) or when its
+// |alphabet|^hosts neighborhood labelings exceed maxTableEntries. The
+// returned error matches the text of the legacy per-labeling extraction
+// error ("node %d: ..."), which only triggers on malformed instances.
 func newLabelSweep(d Decoder, lang Language, inst Instance, alphabet []string) (*labelSweep, error) {
 	n := inst.G.N()
 	s := &labelSweep{
 		d: d, lang: lang, inst: inst, alphabet: alphabet,
 		tpl:      make([]*view.Template, n),
 		pows:     make([][]uint64, n),
-		memo:     make([]map[uint64]bool, n),
+		tab:      make([][]uint64, n),
+		tabWords: make([]int, n),
 		smemo:    make([]map[string]bool, n),
 		labels:   make([]string, n),
 		acc:      make([]int, 0, n),
@@ -104,20 +119,22 @@ func newLabelSweep(d Decoder, lang Language, inst Instance, alphabet []string) (
 		}
 		s.tpl[v] = t
 		s.smemo[v] = make(map[string]bool)
+		if t.N() == n {
+			continue
+		}
 		pows := make([]uint64, t.N())
-		ok := true
-		p := uint64(1)
+		size := uint64(1)
 		for i := range pows {
-			pows[i] = p
-			if a != 0 && p > math.MaxUint64/a {
-				ok = false
+			pows[i] = size
+			if a != 0 && size > maxTableEntries/a {
+				pows = nil
 				break
 			}
-			p *= a
+			size *= a
 		}
-		if ok {
+		if pows != nil {
 			s.pows[v] = pows
-			s.memo[v] = make(map[uint64]bool)
+			s.tabWords[v] = int((size + 31) / 32)
 		}
 	}
 	return s, nil
@@ -131,21 +148,32 @@ func (s *labelSweep) check(idx []int) error {
 	}
 	return s.verify(s.labels, func(v int) bool {
 		t := s.tpl[v]
-		if s.memo[v] == nil {
+		pows := s.pows[v]
+		if pows == nil {
 			s.nDecideInner++
 			return s.d.Decide(t.InstantiateInto(&s.mu, s.labels))
 		}
 		rank := uint64(0)
 		for i, w := range t.Hosts() {
-			rank += uint64(idx[w]) * s.pows[v][i]
+			rank += uint64(idx[w]) * pows[i]
 		}
-		if out, ok := s.memo[v][rank]; ok {
+		tab := s.tab[v]
+		if tab == nil {
+			tab = make([]uint64, s.tabWords[v])
+			s.tab[v] = tab
+		}
+		word, shift := rank/32, rank%32*2
+		if e := tab[word] >> shift; e&1 != 0 {
 			s.nDecideMemoHits++
-			return out
+			return e&2 != 0
 		}
 		s.nDecideInner++
 		out := s.d.Decide(t.InstantiateInto(&s.mu, s.labels))
-		s.memo[v][rank] = out
+		e := uint64(1)
+		if out {
+			e = 3
+		}
+		tab[word] |= e << shift
 		return out
 	})
 }

@@ -31,7 +31,7 @@ import (
 func DegreeOneK(k int) core.Scheme {
 	return core.Scheme{
 		Name:    fmt.Sprintf("degree-one-%d-col", k),
-		Decoder: &degOneKDecoder{k: k},
+		Decoder: &degOneKDecoder{k: k, prefix: fmt.Sprintf("K%d:", k)},
 		Prover:  &degOneKProver{k: k},
 		Promise: core.Promise{
 			Lang: core.KCol(k),
@@ -70,27 +70,9 @@ type degOneKCert struct {
 	color int
 }
 
-func parseDegOneKCert(k int, label string) (degOneKCert, error) {
-	prefix := fmt.Sprintf("K%d:", k)
-	if !strings.HasPrefix(label, prefix) {
-		return degOneKCert{}, fmt.Errorf("label (len=%d) is not a K%d certificate", len(label), k)
-	}
-	body := label[len(prefix):]
-	switch body {
-	case "B":
-		return degOneKCert{kind: 'B'}, nil
-	case "T":
-		return degOneKCert{kind: 'T'}, nil
-	}
-	c, err := strconv.Atoi(body)
-	if err != nil || c < 0 || c >= k {
-		return degOneKCert{}, fmt.Errorf("label (len=%d) has no valid color", len(label))
-	}
-	return degOneKCert{kind: 'C', color: c}, nil
-}
-
 type degOneKDecoder struct {
-	k int
+	k      int
+	prefix string // "K<k>:", shared by every certificate of the scheme
 }
 
 var _ core.Decoder = (*degOneKDecoder)(nil)
@@ -98,42 +80,84 @@ var _ core.Decoder = (*degOneKDecoder)(nil)
 func (d *degOneKDecoder) Rounds() int     { return 1 }
 func (d *degOneKDecoder) Anonymous() bool { return true }
 
+// parse decodes one certificate; ok is false for any label that is not a
+// certificate of this scheme.
+func (d *degOneKDecoder) parse(label string) (c degOneKCert, ok bool) {
+	body, found := strings.CutPrefix(label, d.prefix)
+	if !found {
+		return degOneKCert{}, false
+	}
+	switch body {
+	case "B":
+		return degOneKCert{kind: 'B'}, true
+	case "T":
+		return degOneKCert{kind: 'T'}, true
+	}
+	col, err := strconv.Atoi(body)
+	if err != nil || col < 0 || col >= d.k {
+		return degOneKCert{}, false
+	}
+	return degOneKCert{kind: 'C', color: col}, true
+}
+
+// Decide rejects as soon as any label in the view fails to parse or breaks
+// a rule, so the neighbors are parsed and checked in one pass.
 func (d *degOneKDecoder) Decide(mu *view.View) bool {
 	center := view.Center
-	own, err := parseDegOneKCert(d.k, mu.Labels[center])
-	if err != nil {
+	own, ok := d.parse(mu.Labels[center])
+	if !ok {
 		return false
 	}
 	nbs := mu.Adj[center]
-	certs := make([]degOneKCert, len(nbs))
-	for i, w := range nbs {
-		c, err := parseDegOneKCert(d.k, mu.Labels[w])
-		if err != nil {
-			return false
-		}
-		certs[i] = c
-	}
 	switch own.kind {
 	case 'B':
-		return len(nbs) == 1 && certs[0].kind == 'T'
+		if len(nbs) != 1 {
+			return false
+		}
+		c, ok := d.parse(mu.Labels[nbs[0]])
+		return ok && c.kind == 'T'
 	case 'T':
-		bottoms := 0
-		seen := make(map[int]bool)
-		for _, c := range certs {
+		bottoms, distinct := 0, 0
+		// Neighbor colors below 64 are tracked in a bitmask; larger ones
+		// (k > 64 only) in a slice.
+		var low uint64
+		var high []bool
+		for _, w := range nbs {
+			c, ok := d.parse(mu.Labels[w])
+			if !ok {
+				return false
+			}
 			switch c.kind {
 			case 'B':
 				bottoms++
 			case 'C':
-				seen[c.color] = true
+				if c.color < 64 {
+					if low&(1<<c.color) == 0 {
+						low |= 1 << c.color
+						distinct++
+					}
+					continue
+				}
+				if high == nil {
+					high = make([]bool, d.k)
+				}
+				if !high[c.color] {
+					high[c.color] = true
+					distinct++
+				}
 			default:
 				return false
 			}
 		}
 		// A free color must remain for ⊤ itself.
-		return bottoms == 1 && len(seen) <= d.k-1
+		return bottoms == 1 && distinct <= d.k-1
 	default: // colored
 		tops := 0
-		for _, c := range certs {
+		for _, w := range nbs {
+			c, ok := d.parse(mu.Labels[w])
+			if !ok {
+				return false
+			}
 			switch c.kind {
 			case 'T':
 				tops++

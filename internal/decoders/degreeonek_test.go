@@ -1,13 +1,17 @@
 package decoders
 
 import (
+	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/nbhd"
 	"hidinglcp/internal/obs"
+	"hidinglcp/internal/view"
 )
 
 func TestDegreeOneKCompleteness(t *testing.T) {
@@ -197,13 +201,131 @@ func TestDegreeOneKCertBits(t *testing.T) {
 }
 
 func TestParseDegOneKCertErrors(t *testing.T) {
+	d := DegreeOneK(3).Decoder.(*degOneKDecoder)
 	bad := []string{"", "K3", "K3:", "K3:9", "K3:x", "K2:1", "junk"}
 	for _, l := range bad {
-		if _, err := parseDegOneKCert(3, l); err == nil {
-			t.Errorf("parseDegOneKCert(3, %q) succeeded", l)
+		if _, ok := d.parse(l); ok {
+			t.Errorf("parse(%q) succeeded for k = 3", l)
 		}
 	}
-	if c, err := parseDegOneKCert(3, "K3:2"); err != nil || c.kind != 'C' || c.color != 2 {
-		t.Errorf("K3:2 parsed as %+v, %v", c, err)
+	if c, ok := d.parse("K3:2"); !ok || c.kind != 'C' || c.color != 2 {
+		t.Errorf("K3:2 parsed as %+v, %v", c, ok)
 	}
+}
+
+// degOneKOracle is the DegreeOneK rule set written the plain way: parse
+// every label of the center's neighborhood, then apply the ⊥/⊤/colored
+// rules with a map of neighbor colors.
+func degOneKOracle(k int, mu *view.View) bool {
+	parse := func(l string) (degOneKCert, bool) {
+		body, ok := strings.CutPrefix(l, fmt.Sprintf("K%d:", k))
+		if !ok {
+			return degOneKCert{}, false
+		}
+		if body == "B" || body == "T" {
+			return degOneKCert{kind: body[0]}, true
+		}
+		c, err := strconv.Atoi(body)
+		return degOneKCert{kind: 'C', color: c}, err == nil && c >= 0 && c < k
+	}
+	own, ok := parse(mu.Labels[view.Center])
+	if !ok {
+		return false
+	}
+	var certs []degOneKCert
+	for _, w := range mu.Adj[view.Center] {
+		c, ok := parse(mu.Labels[w])
+		if !ok {
+			return false
+		}
+		certs = append(certs, c)
+	}
+	kinds := map[byte]int{}
+	colors := map[int]bool{}
+	for _, c := range certs {
+		kinds[c.kind]++
+		if c.kind == 'C' {
+			colors[c.color] = true
+		}
+	}
+	switch own.kind {
+	case 'B':
+		return len(certs) == 1 && kinds['T'] == 1
+	case 'T':
+		return kinds['T'] == 0 && kinds['B'] == 1 && len(colors) <= k-1
+	default:
+		return kinds['B'] == 0 && kinds['T'] <= 1 && !colors[own.color]
+	}
+}
+
+// TestDegreeOneKDecideMatchesOracle compares Decide with degOneKOracle at
+// every node of every labeling of small stars and paths, over alphabets
+// that mix certificates with malformed labels. k = 66 drives the colors
+// past the 64-bit mask into the slice fallback.
+func TestDegreeOneKDecideMatchesOracle(t *testing.T) {
+	for _, tc := range []struct {
+		k      int
+		colors []int
+	}{
+		{2, []int{0, 1}},
+		{3, []int{0, 1, 2}},
+		{66, []int{0, 63, 64, 65}},
+	} {
+		d := DegreeOneK(tc.k).Decoder
+		alphabet := []string{DegOneKLabel(tc.k, -1), DegOneKLabel(tc.k, -2), fmt.Sprintf("K%d:%d", tc.k, tc.k), "K1:0"}
+		for _, c := range tc.colors {
+			alphabet = append(alphabet, DegOneKLabel(tc.k, c))
+		}
+		for _, g := range []*graph.Graph{graph.Star(5), graph.Path(4)} {
+			inst := core.NewAnonymousInstance(g)
+			graph.EnumLabelings(g.N(), len(alphabet), func(idx []int) bool {
+				labels := make([]string, g.N())
+				for v, a := range idx {
+					labels[v] = alphabet[a]
+				}
+				for v := 0; v < g.N(); v++ {
+					mu := view.MustExtract(g, inst.Prt, nil, labels, inst.NBound, v, 1)
+					if got, want := d.Decide(mu), degOneKOracle(tc.k, mu); got != want {
+						t.Fatalf("k=%d node %d of %v under %q: Decide=%v, oracle=%v", tc.k, v, g, labels, got, want)
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
+// TestDegreeOneKTopFreeColorWide is TestDegreeOneKTopFreeColor for k = 66,
+// where a ⊤ can see colors on both sides of the 64-bit mask: it accepts
+// 65 distinct neighbor colors (one repeated), and rejects all 66.
+func TestDegreeOneKTopFreeColorWide(t *testing.T) {
+	const k = 66
+	d := DegreeOneK(k).Decoder
+	for _, tc := range []struct {
+		colors []int
+		want   bool
+	}{
+		{append(seq(65), 64), true},
+		{append(seq(65), 3), true},
+		{seq(66), false},
+	} {
+		g := graph.Star(len(tc.colors) + 2)
+		labels := []string{DegOneKLabel(k, -2), DegOneKLabel(k, -1)}
+		for _, c := range tc.colors {
+			labels = append(labels, DegOneKLabel(k, c))
+		}
+		mu := view.MustExtract(g, graph.DefaultPorts(g), nil, labels, g.N(), 0, 1)
+		if got := d.Decide(mu); got != tc.want || got != degOneKOracle(k, mu) {
+			t.Errorf("⊤ with neighbor colors %v: Decide=%v, oracle=%v, want %v", tc.colors, got, degOneKOracle(k, mu), tc.want)
+		}
+	}
+}
+
+// seq returns 0, 1, …, n-1.
+func seq(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
 }

@@ -57,6 +57,10 @@ func FuzzDegreeOneDecide(f *testing.F) {
 	fuzzDecide(f, decoders.DegreeOne(), decoders.DegOneAlphabet())
 }
 
+func FuzzDegreeOneKDecide(f *testing.F) {
+	fuzzDecide(f, decoders.DegreeOneK(3), decoders.DegOneKAlphabet(3))
+}
+
 func FuzzEvenCycleDecide(f *testing.F) {
 	fuzzDecide(f, decoders.EvenCycle(), decoders.EvenCycleAlphabet())
 }

@@ -20,16 +20,15 @@ func appendLenPrefixed(b []byte, s string) []byte {
 // builder is one goroutine's accumulator for the Lemma 3.1 construction,
 // running on the canonical-key fast path: views are deduplicated through a
 // shared view.Interner into dense handles, the accepting and loop sets are
-// handle-indexed bool slices instead of map[string] tables, decoder calls
-// go through a shared core.MemoDecoder (one inner Decide per view class
-// across all workers), and per-instance view extraction reuses templates
-// whenever the enumerator varies only the labeling of a fixed instance —
-// the AllLabelings hot case.
+// handle-indexed bool slices instead of map[string] tables, each view
+// class is decided exactly once, by the builder that interns it first, and
+// per-instance view extraction reuses templates whenever the enumerator
+// varies only the labeling of a fixed instance — the AllLabelings hot case.
 //
-// The interner and memo are shared across builders; everything else is
-// private to one goroutine.
+// The interner is shared across builders; everything else is private to
+// one goroutine.
 type builder struct {
-	md   *core.MemoDecoder
+	d    core.Decoder
 	in   *view.Interner
 	ex   view.Extractor
 	anon bool
@@ -72,11 +71,12 @@ type builder struct {
 	nLookupHits     int64 // scratch-probe interner hits (no arena copy needed)
 	nTmplMemoHits   int64 // views served from the per-node label-key memo
 	nTemplatesBuilt int64 // template cache rebuilds (instance identity changed)
+	nDecided        int64 // view classes this builder interned and decided
 }
 
-func newBuilder(d core.Decoder, md *core.MemoDecoder, in *view.Interner) *builder {
+func newBuilder(d core.Decoder, in *view.Interner) *builder {
 	return &builder{
-		md:   md,
+		d:    d,
 		in:   in,
 		anon: d.Anonymous(),
 		r:    d.Rounds(),
@@ -144,8 +144,7 @@ func (b *builder) absorb(l core.Labeled) {
 		// durable view is needed at all. Only a genuinely new class — or a
 		// race where another worker interns it between Lookup and Intern,
 		// which Intern resolves — pays for an arena-backed copy the interner
-		// may retain as representative. DecideInterned never retains the
-		// view (decoders are pure), so deciding on the scratch is safe.
+		// may retain as representative.
 		mu := t.InstantiateInto(&b.scratch, l.Labels)
 		h, ok := b.in.Lookup(mu)
 		if ok {
@@ -157,8 +156,15 @@ func (b *builder) absorb(l core.Labeled) {
 		b.tMemo[v][string(kb)] = h
 		handles = append(handles, h)
 		b.grow(int(h) + 1)
-		if !b.accepting[h] && b.md.DecideInterned(h, mu) {
-			b.accepting[h] = true
+		// The interner keeps the first view of a class as its
+		// representative, so this builder created the class iff its arena
+		// view is the representative. Only the creator decides: decoders
+		// are pure, so one verdict serves every worker (the accepting sets
+		// merge by union), and the decode count does not depend on which
+		// worker claimed which shard.
+		if !ok && b.in.ViewOf(h) == mu {
+			b.nDecided++
+			b.accepting[h] = b.d.Decide(mu)
 		}
 	}
 	b.handles = handles

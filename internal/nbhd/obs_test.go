@@ -82,6 +82,33 @@ func TestBuildShardedScopedEquivalence(t *testing.T) {
 	}
 }
 
+// TestBuildDecodeCountsPerClass pins the decode counters to the view
+// classes: each class is decided once, by the worker that interns it, so
+// nbhd.decode.calls and nbhd.decode.inner equal nbhd.intern.classes at every
+// worker count, whichever worker claims which shard.
+func TestBuildDecodeCountsPerClass(t *testing.T) {
+	s := decoders.DegreeOne()
+	fam := decoders.DegOneFamily(3)
+	alpha := decoders.DegOneAlphabet()
+	var classes int64 = -1
+	for _, workers := range []int{1, 2, 4} {
+		sc := obs.NewScope()
+		if _, err := Build(nil, sc, s.Decoder, AllLabelings(alpha, fam...), 8, workers); err != nil {
+			t.Fatal(err)
+		}
+		got := sc.Gauge("nbhd.intern.classes").Value()
+		calls := sc.Counter("nbhd.decode.calls").Value()
+		inner := sc.Counter("nbhd.decode.inner").Value()
+		if calls != got || inner != got {
+			t.Errorf("workers=%d: decode.calls=%d inner=%d, want one per class (%d)", workers, calls, inner, got)
+		}
+		if classes >= 0 && got != classes {
+			t.Errorf("workers=%d: %d view classes, want %d as at one worker", workers, got, classes)
+		}
+		classes = got
+	}
+}
+
 // TestBuildShardedScopedProgress wires a fast-ticking Progress into the
 // build and requires at least the final phase line to land on the writer.
 func TestBuildShardedScopedProgress(t *testing.T) {

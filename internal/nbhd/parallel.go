@@ -20,9 +20,9 @@ import (
 // producer goroutine and no channel on the hot path — each worker
 // enumerates its own shards — which is what lets the construction scale
 // past the single-producer bound measured in DESIGN.md Section 4. All
-// workers share one view.Interner and one core.MemoDecoder, so a view class
-// enumerated by several shards is canonicalized into one handle and pays
-// for exactly one decoder invocation across the whole build.
+// workers share one view.Interner, so a view class enumerated by several
+// shards is canonicalized into one handle and decided exactly once, by the
+// worker that interned it first.
 //
 // shards <= 0 selects 4 per worker; workers <= 0 selects GOMAXPROCS;
 // shards = workers = 1 is the single-builder sequential enumeration
@@ -41,14 +41,14 @@ import (
 //
 // The instrumentation is barrier-harvested: each worker's builder keeps
 // plain per-goroutine tallies that are summed into sc's counters only after
-// every worker has finished, and the shared interner/memo-decoder
-// statistics are read once at the end. Nothing atomic is added to the
-// per-instance hot path (BenchmarkBuildShardedObs); a zero Scope makes
+// every worker has finished, and the shared interner's statistics are
+// read once at the end. Nothing atomic is added to the per-instance hot
+// path (BenchmarkBuildShardedObs); a zero Scope makes
 // every instrument call a no-op. Counters recorded (see DESIGN.md
 // Section 8 for the full taxonomy): nbhd.instances, nbhd.views.extracted,
 // nbhd.views.template_memo_hits, nbhd.templates.built,
-// nbhd.intern.hits/misses, nbhd.decode.calls, nbhd.decode.memo_hits,
-// nbhd.decode.inner, nbhd.shards.done/stolen, plus the nbhd.intern.classes
+// nbhd.intern.hits/misses, nbhd.decode.calls/inner (both one per view
+// class), nbhd.shards.done/stolen, plus the nbhd.intern.classes
 // and nbhd.views.accepting gauges and the nbhd.build.duration_ns histogram.
 func Build(ctx context.Context, sc obs.Scope, d core.Decoder, se ShardedEnumerator, shards, workers int) (*NGraph, error) {
 	shards, workers = resolveShardsWorkers(shards, workers)
@@ -65,10 +65,9 @@ func Build(ctx context.Context, sc obs.Scope, d core.Decoder, se ShardedEnumerat
 	}
 
 	in := view.NewInterner()
-	md := core.NewMemoDecoder(d, in)
 	parts := make([]*builder, workers)
 	for w := range parts {
-		parts[w] = newBuilder(d, md, in)
+		parts[w] = newBuilder(d, in)
 	}
 	sc.Prog().SetExtra(func() string {
 		return fmt.Sprintf("%d view classes", in.Len())
@@ -80,7 +79,7 @@ func Build(ctx context.Context, sc obs.Scope, d core.Decoder, se ShardedEnumerat
 	if err != nil {
 		return nil, fmt.Errorf("enumerating instances: %w", err)
 	}
-	harvestBuildMetrics(sc, parts, in, md)
+	harvestBuildMetrics(sc, parts, in)
 	accepting, loops, edges := mergeBuilders(parts)
 	ng, err := assemble(in, accepting, loops, edges)
 	if err != nil {
@@ -100,19 +99,20 @@ func Build(ctx context.Context, sc obs.Scope, d core.Decoder, se ShardedEnumerat
 }
 
 // harvestBuildMetrics folds the per-builder tallies and the shared
-// interner/memo statistics into the scope. Called after the worker
+// interner statistics into the scope. Called after the worker
 // WaitGroup barrier, so the plain builder fields are safely visible.
-func harvestBuildMetrics(sc obs.Scope, parts []*builder, in *view.Interner, md *core.MemoDecoder) {
+func harvestBuildMetrics(sc obs.Scope, parts []*builder, in *view.Interner) {
 	if !sc.Enabled() {
 		return
 	}
-	var instances, views, tmplHits, templates, lookupHits int64
+	var instances, views, tmplHits, templates, lookupHits, decided int64
 	for _, p := range parts {
 		instances += p.nInstances
 		views += p.nViews
 		tmplHits += p.nTmplMemoHits
 		templates += p.nTemplatesBuilt
 		lookupHits += p.nLookupHits
+		decided += p.nDecided
 	}
 	sc.Counter("nbhd.instances").Add(instances)
 	sc.Counter("nbhd.views.extracted").Add(views)
@@ -125,8 +125,8 @@ func harvestBuildMetrics(sc obs.Scope, parts []*builder, in *view.Interner, md *
 	sc.Counter("nbhd.intern.hits").Add(int64(hits) + lookupHits)
 	sc.Counter("nbhd.intern.misses").Add(int64(misses))
 	sc.Gauge("nbhd.intern.classes").Set(int64(in.Len()))
-	calls, inner := md.Stats()
-	sc.Counter("nbhd.decode.calls").Add(int64(calls))
-	sc.Counter("nbhd.decode.memo_hits").Add(int64(calls - inner))
-	sc.Counter("nbhd.decode.inner").Add(int64(inner))
+	// One verdict per class, requested and computed by the class's
+	// creator, so calls and inner agree at every worker count.
+	sc.Counter("nbhd.decode.calls").Add(decided)
+	sc.Counter("nbhd.decode.inner").Add(decided)
 }
