@@ -29,7 +29,7 @@ func ngFingerprint(ng *nbhd.NGraph) string {
 	for i := 0; i < ng.Size(); i++ {
 		mu := ng.ViewAt(i)
 		fmt.Fprintf(&sb, "%d loop=%v key=%q labels=%v adj=%v\n",
-			i, ng.HasLoop(i), mu.Key(), mu.Labels, ng.Graph().Neighbors(i))
+			i, ng.HasLoop(i), string(mu.BinKey()), mu.Labels, ng.Graph().Neighbors(i))
 	}
 	return sb.String()
 }

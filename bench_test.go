@@ -97,16 +97,6 @@ func BenchmarkViewKey(b *testing.B) {
 	labels := make([]string, g.N())
 	mu := view.MustExtract(g, pt, ids, labels, g.N(), 12, 2)
 	anon := view.MustExtract(g, pt, nil, labels, g.N(), 12, 2)
-	b.Run("with-ids", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = mu.Clone().Key()
-		}
-	})
-	b.Run("anonymous-min-search", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = anon.Clone().Key()
-		}
-	})
 	b.Run("with-ids/bin", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = mu.Clone().BinKey()
@@ -119,7 +109,7 @@ func BenchmarkViewKey(b *testing.B) {
 	})
 	b.Run("cached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = mu.Key()
+			_ = mu.BinKey()
 		}
 	})
 }
@@ -391,14 +381,6 @@ func BenchmarkNGraphIndexOfView(b *testing.B) {
 			mu := ng.ViewAt(i % ng.Size()).Clone()
 			if ng.IndexOfView(mu) < 0 {
 				b.Fatal("member view not found")
-			}
-		}
-	})
-	b.Run("string-index", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			key := ng.ViewAt(i % ng.Size()).Key()
-			if ng.IndexOf(key) < 0 {
-				b.Fatal("member key not found")
 			}
 		}
 	})

@@ -20,8 +20,8 @@ import (
 // Taint sources (certificate-derived values):
 //
 //   - reads of the Labels field of view.View or core.Labeled,
-//   - results of the canonical serializations view.View.Key and BinKey
-//     (both embed the raw label bytes),
+//   - results of the canonical serialization view.View.BinKey (it embeds
+//     the raw label bytes),
 //   - results of core Prover.Certify calls (the certificate assignment).
 //
 // Sinks (observable surfaces):
@@ -745,7 +745,7 @@ func isCertCarrier(t types.Type) bool {
 }
 
 // isCertSourceCall reports calls whose results embed certificate bytes:
-// view.View.Key/BinKey and any core Certify method.
+// view.View.BinKey and any core Certify method.
 func (e *taintEnv) isCertSourceCall(call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
@@ -760,7 +760,7 @@ func (e *taintEnv) isCertSourceCall(call *ast.CallExpr) bool {
 		return false
 	}
 	switch {
-	case fn.Pkg().Name() == "view" && (fn.Name() == "Key" || fn.Name() == "BinKey"):
+	case fn.Pkg().Name() == "view" && fn.Name() == "BinKey":
 		return isCertCarrier(e.cf.pass.Info.TypeOf(sel.X))
 	case fn.Pkg().Name() == "core" && fn.Name() == "Certify":
 		return true

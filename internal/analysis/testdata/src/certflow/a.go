@@ -19,7 +19,7 @@ func directFieldLeak(sp *obs.Span, mu *view.View) {
 
 // keyLeak: the canonical key embeds label bytes; printing it is a leak.
 func keyLeak(mu *view.View) {
-	fmt.Println(mu.Key()) // want "certificate-tainted value flows into fmt.Println output"
+	fmt.Println(string(mu.BinKey())) // want "certificate-tainted value flows into fmt.Println output"
 }
 
 // certifyLeak: prover output is a certificate assignment; an error built
@@ -48,7 +48,7 @@ func interproceduralLeak(m *obs.RunManifest, mu *view.View) {
 // closureLeak: a tainted callback handed to the progress reporter leaks
 // on every status line.
 func closureLeak(p *obs.Progress, mu *view.View) {
-	p.SetExtra(func() string { return mu.Key() }) // want "certificate-tainted value flows into observability sink obs.Progress.SetExtra"
+	p.SetExtra(func() string { return string(mu.BinKey()) }) // want "certificate-tainted value flows into observability sink obs.Progress.SetExtra"
 }
 
 // panicLeak: the panic argument lands on stderr with the crash dump.
@@ -85,14 +85,14 @@ func errorsAreClean(p core.Prover, inst core.Instance) {
 // string; the taint follows the builder instead of being reported...
 func builderIsNotASink(mu *view.View) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "key=%s", mu.Key())
+	fmt.Fprintf(&b, "key=%s", string(mu.BinKey()))
 	return b.String()
 }
 
 // ...and reading the builder back out re-surfaces it at a real sink.
 func builderTaintResurfaces(mu *view.View) {
 	var b strings.Builder
-	fmt.Fprintf(&b, "key=%s", mu.Key())
+	fmt.Fprintf(&b, "key=%s", string(mu.BinKey()))
 	fmt.Println(b.String()) // want "certificate-tainted value flows into fmt.Println output"
 }
 

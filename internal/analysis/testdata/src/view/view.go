@@ -30,18 +30,15 @@ func (v *View) LocalNodeWithID(id int) int {
 	return -1
 }
 
-// Key mirrors the real canonical serialization, which embeds the raw label
-// bytes; certflow treats its result as a certificate source.
-func (v *View) Key() string {
-	s := ""
+// BinKey mirrors the real canonical key, which embeds the raw label bytes;
+// certflow treats its result as a certificate source.
+func (v *View) BinKey() []byte {
+	var b []byte
 	for _, l := range v.Labels {
-		s += l
+		b = append(b, l...)
 	}
-	return s
+	return b
 }
-
-// BinKey mirrors the binary canonical key; also a certflow source.
-func (v *View) BinKey() []byte { return []byte(v.Key()) }
 
 // KeyDigest mirrors the real redacted fingerprint; a certflow sanitizer.
 func (v *View) KeyDigest() string { return "fnv32a:00000000#0" }

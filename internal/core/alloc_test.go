@@ -42,23 +42,3 @@ func TestLabelSweepSteadyStateAllocs(t *testing.T) {
 		t.Errorf("memoized sweep allocates %.1f objects per 2^4-labeling pass, want <= 2", n)
 	}
 }
-
-// TestMemoDecoderHitAllocs pins the interned-verdict fast path at zero
-// allocations.
-func TestMemoDecoderHitAllocs(t *testing.T) {
-	views := memoTestViews(t)
-	in := view.NewInterner()
-	md := NewMemoDecoder(rejectAllDecoder{}, in)
-	handles := make([]view.Handle, len(views))
-	for i, mu := range views {
-		handles[i] = in.Intern(mu)
-		md.DecideInterned(handles[i], mu)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		for i, mu := range views {
-			md.DecideInterned(handles[i], mu)
-		}
-	}); n != 0 {
-		t.Errorf("memo-hit DecideInterned allocates %.1f objects per pass, want 0", n)
-	}
-}

@@ -212,9 +212,9 @@ func TestShatterHiding(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mu1.Key() != mu2.Key() {
+		if !mu1.Equal(mu2) {
 			t.Errorf("views at P1 node %d and P2 node %d differ:\n%s\n%s",
-				pair[0], pair[1], mu1.Key(), mu2.Key())
+				pair[0], pair[1], mu1.KeyDigest(), mu2.KeyDigest())
 		}
 	}
 	ng, err := nbhd.Build(nil, obs.Scope{}, s.Decoder, nbhd.FromLabeled(l1, l2), 1, 1)

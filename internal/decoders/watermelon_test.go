@@ -212,8 +212,8 @@ func TestWatermelonHiding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mu11.Key() != mu12.Key() {
-		t.Errorf("view(u1) differs across instances:\n%s\n%s", mu11.Key(), mu12.Key())
+	if !mu11.Equal(mu12) {
+		t.Errorf("view(u1) differs across instances:\n%s\n%s", mu11.KeyDigest(), mu12.KeyDigest())
 	}
 	mu41, err := l1.ViewOf(3, 1)
 	if err != nil {
@@ -223,8 +223,8 @@ func TestWatermelonHiding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mu41.Key() != mu52.Key() {
-		t.Errorf("view(u4,I1) != view(u5,I2):\n%s\n%s", mu41.Key(), mu52.Key())
+	if !mu41.Equal(mu52) {
+		t.Errorf("view(u4,I1) != view(u5,I2):\n%s\n%s", mu41.KeyDigest(), mu52.KeyDigest())
 	}
 	ng, err := nbhd.Build(nil, obs.Scope{}, s.Decoder, nbhd.FromLabeled(l1, l2), 1, 1)
 	if err != nil {

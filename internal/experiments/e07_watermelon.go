@@ -85,8 +85,8 @@ func E7Watermelon(ctx context.Context) Table {
 	mu12, _ := l2.ViewOf(0, 1)
 	mu41, _ := l1.ViewOf(3, 1)
 	mu52, _ := l2.ViewOf(4, 1)
-	t.AddRow("view(u1,I1) = view(u1,I2)", "P8 pair", mu11.Key() == mu12.Key())
-	t.AddRow("view(u4,I1) = view(u5,I2)", "P8 pair", mu41.Key() == mu52.Key())
+	t.AddRow("view(u1,I1) = view(u1,I2)", "P8 pair", mu11.Equal(mu12))
+	t.AddRow("view(u4,I1) = view(u5,I2)", "P8 pair", mu41.Equal(mu52))
 	ng, err := nbhd.Build(ctx, obs.Scope{}, s.Decoder, nbhd.FromLabeled(l1, l2), 1, 1)
 	if err != nil {
 		t.Err = err

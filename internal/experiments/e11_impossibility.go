@@ -229,12 +229,6 @@ type decoderSpace struct {
 	// classVec caches, per instance graph key+ports pointer, the class of
 	// every node. Keyed by position in the corpus at construction.
 	vecs map[*graph.Ports][]int
-	// binKeys memoizes the legacy class key per binary canonical key. The
-	// two keys induce the same partition of views, so one legacy minKey
-	// search per class suffices; repeat views ride the cheaper binary key.
-	// The legacy key stays the class identity because the sorted class
-	// order defines the decoder-mask bit semantics.
-	binKeys map[string]string
 	// bip caches, per port assignment, the bipartiteness of the subgraph
 	// induced by each accepting node bitmask (corpus instances have at
 	// most 64 nodes; the verdict depends only on the accepting set).
@@ -255,24 +249,17 @@ type classAdj struct {
 	loops uint64
 }
 
-// classKey returns the legacy class key of a node view, resolving repeat
-// classes through the binary-key memo.
-func (s *decoderSpace) classKey(mu *view.View) string {
-	a := mu.Anonymize()
-	bk := string(a.BinKey())
-	if k, ok := s.binKeys[bk]; ok {
-		return k
-	}
-	k := a.Key()
-	s.binKeys[bk] = k
-	return k
+// classKey returns the class key of a node view: the canonical key of its
+// anonymization. The sorted class order defines the decoder-mask bit
+// semantics.
+func classKey(mu *view.View) string {
+	return string(mu.Anonymize().BinKey())
 }
 
 func newDecoderSpace(corpus []core.Instance) (*decoderSpace, error) {
 	s := &decoderSpace{
 		index:    map[string]int{},
 		vecs:     map[*graph.Ports][]int{},
-		binKeys:  map[string]string{},
 		bip:      map[*graph.Ports]map[uint64]bool{},
 		adjCache: map[*core.Instance]*classAdj{},
 	}
@@ -290,7 +277,7 @@ func newDecoderSpace(corpus []core.Instance) (*decoderSpace, error) {
 		}
 		ks := make([]string, len(views))
 		for v, mu := range views {
-			key := s.classKey(mu)
+			key := classKey(mu)
 			ks[v] = key
 			if _, ok := s.index[key]; !ok {
 				s.index[key] = 0
@@ -321,7 +308,7 @@ func (s *decoderSpace) classVector(inst core.Instance) ([]int, error) {
 	}
 	vec := make([]int, len(views))
 	for v, mu := range views {
-		key := s.classKey(mu)
+		key := classKey(mu)
 		if _, ok := s.index[key]; !ok {
 			s.index[key] = len(s.classes)
 			s.classes = append(s.classes, key)

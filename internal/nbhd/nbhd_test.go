@@ -270,8 +270,14 @@ func TestIndexOfMissing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ng.IndexOf("nonsense"); got != -1 {
-		t.Errorf("IndexOf(nonsense) = %d, want -1", got)
+	// A rejected view the build interned, and a view it never saw.
+	p2, p3 := graph.Path(2), graph.Path(3)
+	rejected := view.MustExtract(p2, graph.DefaultPorts(p2), nil, []string{"0", "0"}, 2, 0, 1)
+	unseen := view.MustExtract(p3, graph.DefaultPorts(p3), nil, []string{"1", "0", "1"}, 3, 1, 1)
+	for name, mu := range map[string]*view.View{"rejected": rejected, "unseen": unseen} {
+		if got := ng.IndexOfView(mu); got != -1 {
+			t.Errorf("IndexOfView(%s) = %d, want -1", name, got)
+		}
 	}
 	if ng.ViewAt(0) == nil {
 		t.Error("ViewAt(0) = nil")
@@ -359,7 +365,7 @@ func TestBuildParallelEquivalence(t *testing.T) {
 				seq.Size(), seq.EdgeCount(), seq.LoopCount())
 		}
 		for i := 0; i < seq.Size(); i++ {
-			if par.ViewAt(i).Key() != seq.ViewAt(i).Key() {
+			if !par.ViewAt(i).Equal(seq.ViewAt(i)) {
 				t.Fatalf("workers=%d: view %d differs", workers, i)
 			}
 		}

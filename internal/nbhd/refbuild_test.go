@@ -11,10 +11,9 @@ import (
 	"hidinglcp/internal/view"
 )
 
-// referenceBuild is the historical string-keyed Lemma 3.1 construction,
-// retained here verbatim in spirit as the differential oracle for the
-// interned fast path: per-view extraction, per-occurrence decoding, and
-// map[string] dedupe tables keyed by the legacy canonical key.
+// referenceBuild is the plain Lemma 3.1 construction, the differential
+// oracle for the interned fast path: per-view extraction, per-occurrence
+// decoding, and map[string] dedupe tables keyed by the canonical key.
 func referenceBuild(t *testing.T, d core.Decoder, enum Enumerator) (keys []string, edges map[[2]string]bool, loops map[string]bool) {
 	t.Helper()
 	accepting := map[string]bool{}
@@ -32,7 +31,7 @@ func referenceBuild(t *testing.T, d core.Decoder, enum Enumerator) (keys []strin
 			if d.Anonymous() {
 				mu = mu.Anonymize()
 			}
-			k := mu.Key()
+			k := string(mu.BinKey())
 			nodeKey[v] = k
 			if _, ok := views[k]; !ok {
 				views[k] = mu
@@ -84,11 +83,8 @@ func compareAgainstReference(t *testing.T, ng *NGraph, keys []string, edges map[
 		t.Fatalf("size %d, reference %d", ng.Size(), len(keys))
 	}
 	for i, k := range keys {
-		if got := ng.ViewAt(i).Key(); got != k {
-			t.Fatalf("node %d key %q, reference %q", i, got, k)
-		}
-		if ng.IndexOf(k) != i {
-			t.Fatalf("IndexOf(%q) = %d, want %d", k, ng.IndexOf(k), i)
+		if got := string(ng.ViewAt(i).BinKey()); got != k {
+			t.Fatalf("node %d key %x, reference %x", i, got, k)
 		}
 		if ng.IndexOfView(ng.ViewAt(i)) != i {
 			t.Fatalf("IndexOfView at %d does not roundtrip", i)
@@ -107,7 +103,7 @@ func compareAgainstReference(t *testing.T, ng *NGraph, keys []string, edges map[
 	}
 	for e := range edges {
 		if !gotEdges[e] {
-			t.Fatalf("reference edge %v missing", e)
+			t.Fatalf("reference edge %x missing", e)
 		}
 	}
 	gotLoops := map[string]bool{}
@@ -121,15 +117,17 @@ func compareAgainstReference(t *testing.T, ng *NGraph, keys []string, edges map[
 	}
 	for k := range loops {
 		if !gotLoops[k] {
-			t.Fatalf("reference loop at %q missing", k)
+			t.Fatalf("reference loop at %x missing", k)
 		}
 	}
 }
 
 // TestBuildMatchesReference runs the interned fast-path Build against the
-// string-keyed reference on every decoder archetype: anonymous (DegreeOne,
-// EvenCycle) and identifier-dependent (Shatter), over exhaustive labeling
-// enumerations, both as one sequential builder and sharded across workers.
+// reference on every decoder archetype: anonymous (DegreeOne, EvenCycle)
+// and identifier-dependent (Shatter), over exhaustive labeling enumerations
+// and prover labelings, both as one sequential builder and sharded across
+// workers. The 11-node star carries identifiers and NBound of 10 and more,
+// where byte-wise key order and decimal order disagree.
 func TestBuildMatchesReference(t *testing.T) {
 	evenFam, err := decoders.EvenCycleFamily(4, 6, 8)
 	if err != nil {
@@ -138,18 +136,24 @@ func TestBuildMatchesReference(t *testing.T) {
 	g := graph.MustCycle(4)
 	shatterInst := core.Instance{G: g, Prt: graph.DefaultPorts(g), IDs: graph.SequentialIDs(4), NBound: 4}
 	cases := []struct {
-		name string
-		d    core.Decoder
-		se   ShardedEnumerator
+		name  string
+		d     core.Decoder
+		se    ShardedEnumerator
+		empty bool // no view accepts: the build must yield the empty graph
 	}{
 		{"degree-one-exhaustive-n4", decoders.DegreeOne().Decoder,
-			AllLabelings(decoders.DegOneAlphabet(), decoders.DegOneFamily(4)...)},
-		{"even-cycle-certified", decoders.EvenCycle().Decoder, FromLabeled(evenFam...)},
-		{"shatter-with-ids", decoders.Shatter().Decoder, AllLabelings([]string{"0", "1"}, shatterInst)},
+			AllLabelings(decoders.DegOneAlphabet(), decoders.DegOneFamily(4)...), false},
+		{"even-cycle-certified", decoders.EvenCycle().Decoder, FromLabeled(evenFam...), false},
+		{"shatter-with-ids", decoders.Shatter().Decoder, AllLabelings([]string{"0", "1"}, shatterInst), true},
+		{"shatter-star11-ids", decoders.Shatter().Decoder,
+			ProverLabeled(decoders.Shatter(), core.NewInstance(graph.Star(11))), false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			keys, edges, loops := referenceBuild(t, tc.d, tc.se.Sequential())
+			if (len(keys) == 0) != tc.empty {
+				t.Fatalf("reference has %d accepting views, want empty = %v", len(keys), tc.empty)
+			}
 			for _, c := range []struct{ shards, workers int }{{1, 1}, {4, 3}} {
 				ng, err := Build(nil, obs.Scope{}, tc.d, tc.se, c.shards, c.workers)
 				if err != nil {

@@ -160,7 +160,7 @@ func ngEqual(a, b *NGraph) string {
 			a.Size(), a.EdgeCount(), a.LoopCount(), b.Size(), b.EdgeCount(), b.LoopCount())
 	}
 	for i := 0; i < a.Size(); i++ {
-		if a.ViewAt(i).Key() != b.ViewAt(i).Key() {
+		if !a.ViewAt(i).Equal(b.ViewAt(i)) {
 			return fmt.Sprintf("view %d differs", i)
 		}
 		if a.HasLoop(i) != b.HasLoop(i) {

@@ -34,7 +34,7 @@ func viewKeys(views []*view.View) []string {
 	keys := make([]string, len(views))
 	for i, mu := range views {
 		if mu != nil {
-			keys[i] = mu.Key()
+			keys[i] = string(mu.BinKey())
 		}
 	}
 	return keys
@@ -64,7 +64,7 @@ func TestGatherFaultsZeroPlanMatchesExtract(t *testing.T) {
 			t.Fatal(err)
 		}
 		for v := range got {
-			if got[v].Key() != want[v].Key() {
+			if !got[v].Equal(want[v]) {
 				t.Fatalf("trial %d node %d radius %d: zero-plan view differs from Extract", trial, v, r)
 			}
 		}
@@ -172,7 +172,7 @@ func TestGatherFaultsCrashRoundZero(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := views[h]; got == nil || got.Key() != want.Key() {
+			if got := views[h]; got == nil || !got.Equal(want) {
 				t.Fatalf("trial %d: survivor %d view differs from induced-subgraph extraction", trial, h)
 			}
 		}
@@ -236,7 +236,7 @@ func TestGatherFaultsCrashBeyondHorizonIsNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v := range views {
-		if views[v] == nil || views[v].Key() != want[v].Key() {
+		if views[v] == nil || !views[v].Equal(want[v]) {
 			t.Fatalf("node %d view differs under no-op crash schedule", v)
 		}
 	}
@@ -287,7 +287,7 @@ func TestGatherFaultsDuplicationAndReorderAreInvisible(t *testing.T) {
 			t.Fatal(err)
 		}
 		for v := range views {
-			if views[v].Key() != want[v].Key() {
+			if !views[v].Equal(want[v]) {
 				t.Fatalf("trial %d node %d: duplication/reorder changed the view", trial, v)
 			}
 		}

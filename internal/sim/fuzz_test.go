@@ -109,7 +109,7 @@ func FuzzGatherFaults(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := views[h]; got == nil || got.Key() != want.Key() {
+			if got := views[h]; got == nil || !got.Equal(want) {
 				t.Fatalf("survivor %d: crash view differs from induced-subgraph extraction", h)
 			}
 		}

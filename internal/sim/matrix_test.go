@@ -73,7 +73,7 @@ func TestDifferentialMatrix(t *testing.T) {
 					t.Fatalf("zero plan produced faults: %s", s)
 				}
 				for v := range want {
-					if zero[v].Key() != want[v].Key() {
+					if !zero[v].Equal(want[v]) {
 						t.Errorf("node %d: zero-plan gather differs from Extract", v)
 					}
 				}

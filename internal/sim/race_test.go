@@ -53,7 +53,7 @@ func TestRaceGatherStress(t *testing.T) {
 					return
 				}
 				for v := range got {
-					if got[v].Key() != want[v].Key() {
+					if !got[v].Equal(want[v]) {
 						t.Errorf("worker %d: node %d radius %d: gathered view differs", w, v, j.r)
 						return
 					}
@@ -89,7 +89,7 @@ func TestRaceGatherFaultsStress(t *testing.T) {
 	baseKeys := make([]string, len(baseViews))
 	for v, mu := range baseViews {
 		if mu != nil {
-			baseKeys[v] = mu.Key()
+			baseKeys[v] = string(mu.BinKey())
 		}
 	}
 	var wg sync.WaitGroup
@@ -110,7 +110,7 @@ func TestRaceGatherFaultsStress(t *testing.T) {
 				for v, mu := range views {
 					key := ""
 					if mu != nil {
-						key = mu.Key()
+						key = string(mu.BinKey())
 					}
 					if key != baseKeys[v] {
 						t.Errorf("worker %d: node %d view differs under replay", w, v)

@@ -49,9 +49,9 @@ func TestGatherMatchesExtract(t *testing.T) {
 			t.Fatal(err)
 		}
 		for v := range got {
-			if got[v].Key() != want[v].Key() {
+			if !got[v].Equal(want[v]) {
 				t.Fatalf("trial %d node %d radius %d: gathered view differs\n got %s\nwant %s",
-					trial, v, r, got[v].Key(), want[v].Key())
+					trial, v, r, got[v].KeyDigest(), want[v].KeyDigest())
 			}
 		}
 	}

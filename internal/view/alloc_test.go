@@ -42,12 +42,10 @@ func TestCachedKeyAllocs(t *testing.T) {
 	pt := graph.DefaultPorts(g)
 	labels := make([]string, g.N())
 	mu := view.MustExtract(g, pt, nil, labels, g.N(), 0, 1)
-	mu.Key()
 	mu.BinKey()
 	if n := testing.AllocsPerRun(100, func() {
-		_ = mu.Key()
 		_ = mu.BinKey()
 	}); n != 0 {
-		t.Errorf("cached Key+BinKey allocate %.1f objects per call, want 0", n)
+		t.Errorf("cached BinKey allocates %.1f objects per call, want 0", n)
 	}
 }

@@ -9,11 +9,11 @@ import (
 	"hidinglcp/internal/mem"
 )
 
-// keyScratch holds every per-call buffer of the canonical-key computations
-// (Key and BinKey): orderings, refinement colors, flat arm storage, and the
-// serialization candidates. The buffers are recycled through keyScratchPool;
-// nothing reachable from a scratch may be returned to a caller — the final
-// key is always a fresh copy (see the escape rules of internal/mem).
+// keyScratch holds every per-call buffer of the canonical-key computation:
+// orderings, refinement colors, flat arm storage, and the serialization
+// candidates. The buffers are recycled through keyScratchPool; nothing
+// reachable from a scratch may be returned to a caller — the final key is
+// always a fresh copy (see the escape rules of internal/mem).
 type keyScratch struct {
 	ord, color, next []int // refinement working set
 	armStart, armNbr []int
@@ -28,13 +28,17 @@ type keyScratch struct {
 
 var keyScratchPool mem.Pool[keyScratch]
 
-// BinKey returns a compact binary canonical key: two views have the same
-// binary key iff they are equal as views, exactly as with Key (the
-// partition equality is enforced by differential and fuzz tests). The
-// encoding is an append-to-[]byte varint serialization — no fmt, no string
-// joins — minimized over the same kind of class-respecting node orderings
-// as Key, with the Weisfeiler-Leman-style refinement run over integer color
-// arrays instead of string signatures.
+// BinKey returns the canonical key of the view: two views have the same
+// key iff they are equal as views (same radius, same N bound, and
+// isomorphic via a center-fixing, distance-preserving bijection that
+// matches identifiers, labels, and ports). The encoding is an
+// append-to-[]byte varint serialization.
+//
+// When identifiers are present and distinct they already determine the
+// canonical node order; otherwise the key is the byte-wise minimum over the
+// node orderings that put the center first and permute nodes only within
+// classes of a Weisfeiler-Leman-style refinement run over integer color
+// arrays (views are small, so the search is cheap).
 //
 // The key is computed once and cached. The returned slice is shared; the
 // caller must not modify it.
@@ -49,6 +53,18 @@ func (v *View) BinKey() []byte {
 	return k
 }
 
+// Equal reports whether two views are equal as views, by comparing their
+// cached canonical keys.
+func (v *View) Equal(w *View) bool {
+	if v == w {
+		return true
+	}
+	if v.N() != w.N() || v.Radius != w.Radius || v.NBound != w.NBound {
+		return false
+	}
+	return string(v.BinKey()) == string(w.BinKey())
+}
+
 func (v *View) computeBinKey() []byte {
 	sc := keyScratchPool.Get()
 	defer keyScratchPool.Put(sc)
@@ -57,6 +73,58 @@ func (v *View) computeBinKey() []byte {
 		return v.appendBinSerialize(nil, sc.order, sc.pos)
 	}
 	return v.minBinKey(sc)
+}
+
+// idOrderSortCutoff is the view size above which idOrderInto switches from
+// insertion sort to slices.SortFunc; below it the insertion sort wins on
+// constant factors (see BenchmarkIDOrderCrossover).
+const idOrderSortCutoff = 24
+
+// idOrderInto computes the nodes sorted by (distance, identifier) into
+// sc.order and reports whether all identifiers are nonzero and distinct
+// (the precondition for the identifier-determined canonical order).
+func (v *View) idOrderInto(sc *keyScratch) bool {
+	n := v.N()
+	tmp := mem.Ints(sc.tmp, n)
+	sc.tmp = tmp
+	for i, id := range v.IDs {
+		if id == 0 {
+			return false
+		}
+		tmp[i] = id
+	}
+	slices.Sort(tmp)
+	for i := 1; i < n; i++ {
+		if tmp[i] == tmp[i-1] {
+			return false
+		}
+	}
+	order := mem.Ints(sc.order, n)
+	sc.order = order
+	for i := range order {
+		order[i] = i
+	}
+	dist, ids := v.Dist, v.IDs
+	if n > idOrderSortCutoff {
+		slices.SortFunc(order, func(x, y int) int {
+			if dist[x] != dist[y] {
+				return dist[x] - dist[y]
+			}
+			return ids[x] - ids[y]
+		})
+		return true
+	}
+	// Insertion sort by (dist, id); small views.
+	for i := 1; i < len(order); i++ {
+		for j := i; j > 0; j-- {
+			a, b := order[j-1], order[j]
+			if dist[a] < dist[b] || (dist[a] == dist[b] && ids[a] < ids[b]) {
+				break
+			}
+			order[j-1], order[j] = order[j], order[j-1]
+		}
+	}
+	return true
 }
 
 // appendBinSerialize renders the view under the given node ordering into
@@ -104,12 +172,10 @@ func (v *View) appendBinSerialize(dst []byte, order, pos []int) []byte {
 	return dst
 }
 
-// minBinKey is minKey over the binary serialization: the byte-wise minimum
-// over all orderings that put the center first and otherwise permute nodes
-// only within refined invariant classes. Minimizing any injective
-// serialization over an isomorphism-invariant set of orderings is
-// canonical, so minBinKey and minKey induce the same view partition even
-// though the byte strings differ.
+// minBinKey computes the byte-wise minimum serialization over all
+// orderings that put the center first and otherwise permute nodes only
+// within refined invariant classes. Minimizing any injective serialization
+// over an isomorphism-invariant set of orderings is canonical.
 func (v *View) minBinKey(sc *keyScratch) []byte {
 	classes := v.refinedClassesInt(sc)
 	n := v.N()
@@ -172,8 +238,8 @@ func permuteInPlace(s []int, fn func()) {
 	rec(0)
 }
 
-// refinedClassesInt is the integer-color counterpart of refinedClasses:
-// nodes start colored by the rank of their invariant tuple (distance,
+// refinedClassesInt partitions the local nodes into ordered classes: nodes
+// start colored by the rank of their invariant tuple (distance,
 // label, degree, identifier) and are iteratively refined by the multiset of
 // (port out, port back, neighbor color) arms, all over int arrays — no
 // string signatures. The resulting partition is isomorphism-invariant, as
@@ -364,4 +430,14 @@ func armLess(a, b [3]int) bool {
 		}
 	}
 	return false
+}
+
+// insertionSortInts sorts small int slices in place without the sort
+// package's interface overhead; neighbor lists are tiny.
+func insertionSortInts(s []int) {
+	for i := 1; i < len(s); i++ {
+		for j := i; j > 0 && s[j] < s[j-1]; j-- {
+			s[j], s[j-1] = s[j-1], s[j]
+		}
+	}
 }

@@ -3,42 +3,106 @@ package view_test
 import (
 	"bytes"
 	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/view"
 )
 
-// partitionChecker verifies, view by view, that the legacy string key and
-// the binary key induce exactly the same equivalence classes: each legacy
-// key maps to one binary key and vice versa, and Equal agrees with both.
+// bruteKey is the test oracle for BinKey, computed straight from the
+// definition of view equality: the smallest simple serialization of the
+// view over every node order that puts the center first. When all
+// identifiers are nonzero and distinct they already fix the order, so only
+// the identifier order is tried.
+func bruteKey(mu *view.View) string {
+	rest := make([]int, 0, mu.N())
+	seen := map[int]bool{}
+	distinct := true
+	for i := 0; i < mu.N(); i++ {
+		if i != view.Center {
+			rest = append(rest, i)
+		}
+		if id := mu.IDs[i]; id == 0 || seen[id] {
+			distinct = false
+		} else {
+			seen[id] = true
+		}
+	}
+	if distinct {
+		sort.Slice(rest, func(a, b int) bool { return mu.IDs[rest[a]] < mu.IDs[rest[b]] })
+		return serialize(mu, append([]int{view.Center}, rest...))
+	}
+	best := ""
+	var permute func(k int)
+	permute = func(k int) {
+		if k == len(rest) {
+			if s := serialize(mu, append([]int{view.Center}, rest...)); best == "" || s < best {
+				best = s
+			}
+			return
+		}
+		for j := k; j < len(rest); j++ {
+			rest[k], rest[j] = rest[j], rest[k]
+			permute(k + 1)
+			rest[k], rest[j] = rest[j], rest[k]
+		}
+	}
+	permute(0)
+	return best
+}
+
+// serialize renders mu with order[k] placed at position k: the header, then
+// every node's distance, identifier and label, then every visible edge
+// between positions ka < kb with its two port numbers.
+func serialize(mu *view.View, order []int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "r%d n%d N%d", mu.Radius, mu.N(), mu.NBound)
+	for _, i := range order {
+		fmt.Fprintf(&b, "|d%d i%d l%q", mu.Dist[i], mu.IDs[i], mu.Labels[i])
+	}
+	for ka, a := range order {
+		for kb := ka + 1; kb < len(order); kb++ {
+			c := order[kb]
+			if p, ok := mu.Ports[[2]int{a, c}]; ok {
+				fmt.Fprintf(&b, "|e%d,%d:%d,%d", ka, kb, p, mu.Ports[[2]int{c, a}])
+			}
+		}
+	}
+	return b.String()
+}
+
+// partitionChecker verifies, view by view, that bruteKey and BinKey induce
+// exactly the same equivalence classes: each brute-force key maps to one
+// binary key and vice versa, and Equal agrees with both.
 type partitionChecker struct {
-	t     *testing.T
-	byKey map[string]string // legacy key -> binary key
-	byBin map[string]string // binary key -> legacy key
-	rep   map[string]*view.View
-	other *view.View
+	t       *testing.T
+	byBrute map[string]string // brute-force key -> binary key
+	byBin   map[string]string // binary key -> brute-force key
+	rep     map[string]*view.View
+	other   *view.View
 }
 
 func newPartitionChecker(t *testing.T) *partitionChecker {
 	return &partitionChecker{
-		t:     t,
-		byKey: map[string]string{},
-		byBin: map[string]string{},
-		rep:   map[string]*view.View{},
+		t:       t,
+		byBrute: map[string]string{},
+		byBin:   map[string]string{},
+		rep:     map[string]*view.View{},
 	}
 }
 
 func (pc *partitionChecker) add(mu *view.View) {
 	pc.t.Helper()
-	k := mu.Key()
+	k := bruteKey(mu)
 	b := string(mu.BinKey())
-	if prev, ok := pc.byKey[k]; ok && prev != b {
-		pc.t.Fatalf("legacy key maps to two binary keys:\nkey %q\nbin %x\nbin %x", k, prev, b)
+	if prev, ok := pc.byBrute[k]; ok && prev != b {
+		pc.t.Fatalf("brute-force key maps to two binary keys:\nkey %q\nbin %x\nbin %x", k, prev, b)
 	}
-	pc.byKey[k] = b
+	pc.byBrute[k] = b
 	if prev, ok := pc.byBin[b]; ok && prev != k {
-		pc.t.Fatalf("binary key maps to two legacy keys:\nbin %x\nkey %q\nkey %q", b, prev, k)
+		pc.t.Fatalf("binary key maps to two brute-force keys:\nbin %x\nkey %q\nkey %q", b, prev, k)
 	}
 	pc.byBin[b] = k
 	if rep, ok := pc.rep[b]; ok {
@@ -50,7 +114,7 @@ func (pc *partitionChecker) add(mu *view.View) {
 	}
 	if pc.other != nil && string(pc.other.BinKey()) != b {
 		if pc.other.Equal(mu) {
-			pc.t.Fatalf("Equal is true across distinct key classes %q vs %q", pc.other.Key(), k)
+			pc.t.Fatalf("Equal is true across distinct key classes %q vs %q", bruteKey(pc.other), k)
 		}
 	}
 	pc.other = mu
@@ -60,7 +124,7 @@ func (pc *partitionChecker) classes() int { return len(pc.byBin) }
 
 // TestBinKeyPartitionConnectedGraphs sweeps every connected graph on up to
 // 4 nodes under every 2-letter labeling, with sequential identifiers and
-// anonymously, at radii 1 and 2, and checks that binary and legacy keys
+// anonymously, at radii 1 and 2, and checks that BinKey and bruteKey
 // partition the views identically.
 func TestBinKeyPartitionConnectedGraphs(t *testing.T) {
 	pc := newPartitionChecker(t)
@@ -146,7 +210,6 @@ func TestBinKeyCanonicalUnderRelabeling(t *testing.T) {
 	for v := 0; v < 5; v++ {
 		labelsB[perm(v)] = labels[v]
 	}
-	muB := view.MustExtract(b, graph.DefaultPorts(b), nil, labelsB, 5, perm(0), 2)
 
 	// Ports may differ between the two presentations (DefaultPorts follows
 	// adjacency order), so only structural equality up to ports is forced;
@@ -155,25 +218,24 @@ func TestBinKeyCanonicalUnderRelabeling(t *testing.T) {
 	graph.EnumPorts(b, func(pt *graph.Ports) bool {
 		mu := view.MustExtract(b, pt, nil, labelsB, 5, perm(0), 2)
 		if bytes.Equal(mu.BinKey(), muA.BinKey()) {
-			if mu.Key() != muA.Key() {
-				t.Fatal("binary keys match but legacy keys differ")
+			if bruteKey(mu) != bruteKey(muA) {
+				t.Fatal("binary keys match but brute-force keys differ")
 			}
 			found = true
 			return false
 		}
-		if mu.Key() == muA.Key() {
-			t.Fatal("legacy keys match but binary keys differ")
+		if bruteKey(mu) == bruteKey(muA) {
+			t.Fatal("brute-force keys match but binary keys differ")
 		}
 		return true
 	})
 	if !found {
 		t.Fatal("no port assignment reproduces the rotated view")
 	}
-	_ = muB
 }
 
-// TestKeyCacheCloneSafety is the satellite mutation test: keys are cached on
-// first computation, and the cache must never leak into clones or
+// TestKeyCacheCloneSafety is the satellite mutation test: the key is cached
+// on first computation, and the cache must never leak into clones or
 // anonymized copies, nor go stale on the original.
 func TestKeyCacheCloneSafety(t *testing.T) {
 	g := graph.Grid(3, 3)
@@ -185,39 +247,35 @@ func TestKeyCacheCloneSafety(t *testing.T) {
 	}
 	mu := view.MustExtract(g, pt, ids, labels, g.N(), 4, 2)
 
-	k1 := mu.Key()
 	b1 := append([]byte(nil), mu.BinKey()...)
-	if mu.Key() != k1 || !bytes.Equal(mu.BinKey(), b1) {
-		t.Fatal("cached keys are not stable")
+	if !bytes.Equal(mu.BinKey(), b1) {
+		t.Fatal("cached key is not stable")
 	}
 
-	// A clone mutated before keying must compute its own keys...
+	// A clone mutated before keying must compute its own key...
 	c := mu.Clone()
 	c.Labels[0] = "mutated"
-	if c.Key() == k1 {
-		t.Fatal("legacy key cache leaked into a mutated clone")
-	}
 	if bytes.Equal(c.BinKey(), b1) {
-		t.Fatal("binary key cache leaked into a mutated clone")
+		t.Fatal("key cache leaked into a mutated clone")
 	}
 	// ...and the original's cache must survive the clone's life unchanged.
-	if mu.Key() != k1 || !bytes.Equal(mu.BinKey(), b1) {
-		t.Fatal("original keys changed after mutating a clone")
+	if !bytes.Equal(mu.BinKey(), b1) {
+		t.Fatal("original key changed after mutating a clone")
 	}
 
 	// An unmutated clone agrees with the original without sharing the cache.
 	c2 := mu.Clone()
-	if c2.Key() != k1 || !bytes.Equal(c2.BinKey(), b1) {
+	if !bytes.Equal(c2.BinKey(), b1) {
 		t.Fatal("unmutated clone disagrees with original")
 	}
 
-	// Anonymize drops identifiers, so its keys must differ from the cached
-	// identified ones, and the original cache must again be untouched.
+	// Anonymize drops identifiers, so its key must differ from the cached
+	// identified one, and the original cache must again be untouched.
 	a := mu.Anonymize()
-	if a.Key() == k1 || bytes.Equal(a.BinKey(), b1) {
+	if bytes.Equal(a.BinKey(), b1) {
 		t.Fatal("anonymized view reused the identified key cache")
 	}
-	if mu.Key() != k1 {
+	if !bytes.Equal(mu.BinKey(), b1) {
 		t.Fatal("original key changed after Anonymize")
 	}
 
@@ -229,8 +287,8 @@ func TestKeyCacheCloneSafety(t *testing.T) {
 }
 
 // TestIDOrderSortCutoff exercises both sides of the idOrder crossover (the
-// insertion sort below the cutoff, sort.Slice above): keys must stay
-// canonical under host renumbering at both sizes.
+// insertion sort below the cutoff, slices.SortFunc above): keys must stay
+// canonical at both sizes.
 func TestIDOrderSortCutoff(t *testing.T) {
 	for _, leaves := range []int{8, 40} {
 		star := func(order []int) (*graph.Graph, graph.IDs, []string, int) {
@@ -267,19 +325,19 @@ func TestIDOrderSortCutoff(t *testing.T) {
 		// different views; equality must hold only after aligning ports.
 		ptAligned := graph.DefaultPorts(gA)
 		muAligned := view.MustExtract(gA, ptAligned, idsA, labelsA, n, 0, 1)
-		if muAligned.Key() != muA.Key() || !bytes.Equal(muAligned.BinKey(), muA.BinKey()) {
+		if !bytes.Equal(muAligned.BinKey(), muA.BinKey()) {
 			t.Fatalf("leaves=%d: identical extraction disagrees with itself", leaves)
 		}
-		if (muA.Key() == muD.Key()) != bytes.Equal(muA.BinKey(), muD.BinKey()) {
-			t.Fatalf("leaves=%d: legacy and binary keys disagree on the port-permuted pair", leaves)
+		if (bruteKey(muA) == bruteKey(muD)) != bytes.Equal(muA.BinKey(), muD.BinKey()) {
+			t.Fatalf("leaves=%d: brute-force and binary keys disagree on the port-permuted pair", leaves)
 		}
 	}
 }
 
-// FuzzBinKeyKeyAgreement cross-checks the three equality notions — legacy
-// key, binary key, and Equal — on fuzz-built view pairs, including
+// FuzzBinKeyMatchesBruteForce cross-checks the three equality notions —
+// bruteKey, BinKey, and Equal — on fuzz-built view pairs, including
 // anonymous and duplicate-identifier cases.
-func FuzzBinKeyKeyAgreement(f *testing.F) {
+func FuzzBinKeyMatchesBruteForce(f *testing.F) {
 	f.Add([]byte{3, 0xff, 1, 0, 1, 2, 3, 4})
 	f.Add([]byte{4, 0x3f, 2, 1, 0, 0, 0, 0, 9, 9})
 	f.Add([]byte{5, 0xaa, 1, 2, 3, 1, 4, 1, 5, 9, 2, 6})
@@ -326,29 +384,28 @@ func FuzzBinKeyKeyAgreement(f *testing.F) {
 		v1 := view.MustExtract(g, pt, ids, labels, n, c1, r)
 		v2 := view.MustExtract(g, pt, ids, labels, n, c2, r)
 
-		keyEq := v1.Key() == v2.Key()
+		bruteEq := bruteKey(v1) == bruteKey(v2)
 		binEq := bytes.Equal(v1.BinKey(), v2.BinKey())
 		eq := v1.Equal(v2)
-		if keyEq != binEq || binEq != eq {
-			t.Fatalf("equality notions disagree: key=%v bin=%v equal=%v\nv1=%q\nv2=%q",
-				keyEq, binEq, eq, v1.Key(), v2.Key())
+		if bruteEq != binEq || binEq != eq {
+			t.Fatalf("equality notions disagree: brute=%v bin=%v equal=%v\nv1=%q\nv2=%q",
+				bruteEq, binEq, eq, bruteKey(v1), bruteKey(v2))
 		}
 		// Determinism across a cache-free recomputation.
-		if v1.Clone().Key() != v1.Key() || !bytes.Equal(v1.Clone().BinKey(), v1.BinKey()) {
-			t.Fatal("keys are not deterministic under Clone")
+		if !bytes.Equal(v1.Clone().BinKey(), v1.BinKey()) {
+			t.Fatal("key is not deterministic under Clone")
 		}
 		// The anonymous projections must agree with each other the same way.
 		a1, a2 := v1.Anonymize(), v2.Anonymize()
-		akeyEq := a1.Key() == a2.Key()
-		abinEq := bytes.Equal(a1.BinKey(), a2.BinKey())
-		if akeyEq != abinEq {
-			t.Fatalf("anonymous equality notions disagree: key=%v bin=%v", akeyEq, abinEq)
+		if (bruteKey(a1) == bruteKey(a2)) != bytes.Equal(a1.BinKey(), a2.BinKey()) {
+			t.Fatalf("anonymous equality notions disagree: brute=%v bin=%v",
+				bruteKey(a1) == bruteKey(a2), bytes.Equal(a1.BinKey(), a2.BinKey()))
 		}
 	})
 }
 
 // BenchmarkIDOrderCrossover measures identifier-ordered canonicalization at
-// view sizes straddling the insertion-sort/sort.Slice cutoff (24).
+// view sizes straddling the insertion-sort/slices.SortFunc cutoff (24).
 func BenchmarkIDOrderCrossover(b *testing.B) {
 	for _, leaves := range []int{8, 16, 24, 32, 64, 128} {
 		g := graph.New(leaves + 1)
@@ -363,7 +420,7 @@ func BenchmarkIDOrderCrossover(b *testing.B) {
 		mu := view.MustExtract(g, pt, ids, labels, g.N(), 0, 1)
 		b.Run(fmt.Sprintf("n=%d", leaves+1), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = mu.Clone().Key()
+				_ = mu.Clone().BinKey()
 			}
 		})
 	}

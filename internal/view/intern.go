@@ -9,7 +9,7 @@ import (
 // Interner: handles are assigned 0, 1, 2, … in first-intern order, so they
 // index plain slices where the string-keyed builders used map[string]
 // tables. Handle values depend on intern order and are NOT canonical across
-// runs or workers — never order output by handle; sort by Key instead.
+// runs or workers — never order output by handle; sort by BinKey instead.
 type Handle uint32
 
 const (

@@ -78,7 +78,7 @@ func TestExtractorReuseDoesNotCorrupt(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := view.MustExtract(j.g, j.pt, j.ids, j.labels, j.g.N(), j.v, j.r)
-			if got.Key() != want.Key() || !bytes.Equal(got.BinKey(), want.BinKey()) {
+			if !bytes.Equal(got.BinKey(), want.BinKey()) || !bytes.Equal(got.BinKey(), want.BinKey()) {
 				t.Fatalf("reused extractor diverges at job %+v", j)
 			}
 			if !reflect.DeepEqual(got.Adj, want.Adj) || !reflect.DeepEqual(got.Dist, want.Dist) ||
@@ -103,16 +103,16 @@ func TestTemplateInstantiateIsolation(t *testing.T) {
 	}
 	labels := []string{"a", "b", "c", "d", "e"}
 	v1 := tpl.Instantiate(labels)
-	k1 := v1.Key()
+	k1 := string(v1.BinKey())
 	labels[1] = "CHANGED"
 	v2 := tpl.Instantiate(labels)
 	if v1.Labels[1] == "CHANGED" {
 		t.Fatal("instantiated view aliases the caller's label slice")
 	}
-	if v1.Key() != k1 {
+	if string(v1.BinKey()) != k1 {
 		t.Fatal("earlier instantiation changed after relabeling")
 	}
-	if v2.Key() == k1 {
+	if string(v2.BinKey()) == k1 {
 		t.Fatal("new labeling did not reach the new view")
 	}
 	// Shared structure is intentional.

@@ -1,6 +1,7 @@
 package view
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -167,18 +168,18 @@ func TestKeyEqualSameViews(t *testing.T) {
 	// equal once anonymized, but differ while IDs are present.
 	v0 := extract(t, g, 0, 1)
 	v1 := extract(t, g, 1, 1)
-	if v0.Key() == v1.Key() {
+	if bytes.Equal(v0.BinKey(), v1.BinKey()) {
 		t.Error("views with different IDs share a key")
 	}
-	if v0.Anonymize().Key() != v1.Anonymize().Key() {
+	if !bytes.Equal(v0.Anonymize().BinKey(), v1.Anonymize().BinKey()) {
 		t.Error("anonymized symmetric views should share a key")
 	}
 	if !v0.Anonymize().Equal(v1.Anonymize()) {
-		t.Error("Equal disagrees with Key")
+		t.Error("Equal disagrees with BinKey")
 	}
 	// Node 5 sees far-end ports 2,2 — genuinely different even anonymized.
 	v5 := extract(t, g, 5, 1)
-	if v0.Anonymize().Key() == v5.Anonymize().Key() {
+	if bytes.Equal(v0.Anonymize().BinKey(), v5.Anonymize().BinKey()) {
 		t.Error("views with different far-end ports share a key")
 	}
 }
@@ -188,7 +189,7 @@ func TestKeyDistinguishesLabels(t *testing.T) {
 	pt := graph.DefaultPorts(g)
 	a := MustExtract(g, pt, nil, []string{"x", "y"}, 2, 0, 1)
 	b := MustExtract(g, pt, nil, []string{"x", "z"}, 2, 0, 1)
-	if a.Key() == b.Key() {
+	if bytes.Equal(a.BinKey(), b.BinKey()) {
 		t.Error("views with different labels share a key")
 	}
 }
@@ -206,7 +207,7 @@ func TestKeyDistinguishesPorts(t *testing.T) {
 	}
 	a := MustExtract(g, ptA, nil, blankLabels(4), 4, 1, 1)
 	b := MustExtract(g, ptB, nil, blankLabels(4), 4, 1, 1)
-	if a.Key() == b.Key() {
+	if bytes.Equal(a.BinKey(), b.BinKey()) {
 		t.Error("views with different far-end ports share a key")
 	}
 
@@ -219,7 +220,7 @@ func TestKeyDistinguishesPorts(t *testing.T) {
 	}
 	c := MustExtract(g2, graph.DefaultPorts(g2), nil, blankLabels(3), 3, 1, 1)
 	d := MustExtract(g2, ptC, nil, blankLabels(3), 3, 1, 1)
-	if c.Key() != d.Key() {
+	if !bytes.Equal(c.BinKey(), d.BinKey()) {
 		t.Error("center port relabeling over identical arms changed the anonymous key")
 	}
 }
@@ -229,7 +230,7 @@ func TestKeyDistinguishesNBound(t *testing.T) {
 	pt := graph.DefaultPorts(g)
 	a := MustExtract(g, pt, nil, blankLabels(2), 2, 0, 1)
 	b := MustExtract(g, pt, nil, blankLabels(2), 99, 0, 1)
-	if a.Key() == b.Key() {
+	if bytes.Equal(a.BinKey(), b.BinKey()) {
 		t.Error("views with different N bounds share a key")
 	}
 }
@@ -241,8 +242,8 @@ func TestAnonymousKeyCanonicalUnderRelabeling(t *testing.T) {
 	gB := graph.MustFromEdges(4, [][2]int{{3, 0}, {3, 1}, {3, 2}})
 	a := MustExtract(gA, graph.DefaultPorts(gA), nil, blankLabels(4), 4, 0, 1)
 	b := MustExtract(gB, graph.DefaultPorts(gB), nil, blankLabels(4), 4, 3, 1)
-	if a.Key() != b.Key() {
-		t.Errorf("relabeled stars have different keys:\n%s\n%s", a.Key(), b.Key())
+	if !bytes.Equal(a.BinKey(), b.BinKey()) {
+		t.Errorf("relabeled stars have different keys:\n%s\n%s", a.KeyDigest(), b.KeyDigest())
 	}
 }
 
@@ -349,7 +350,7 @@ func TestKeyDeterministic(t *testing.T) {
 		r := rng.Intn(3)
 		a := MustExtract(g, pt, ids, blankLabels(g.N()), g.N(), c, r)
 		b := MustExtract(g, pt, ids, blankLabels(g.N()), g.N(), c, r)
-		return a.Key() == b.Key()
+		return bytes.Equal(a.BinKey(), b.BinKey())
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
