@@ -1,12 +1,8 @@
 package decoders
 
 import (
-	"errors"
-	"fmt"
-
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/graph"
-	"hidinglcp/internal/view"
 )
 
 // Certificate symbols of the DegreeOne scheme (Lemma 4.1). The prover
@@ -28,11 +24,20 @@ func DegOneAlphabet() []string {
 // DegreeOne returns the anonymous, strong, and hiding one-round LCP of
 // Lemma 4.1 for 2-coloring on the class H1 of graphs with minimum degree 1.
 // Certificates are constant-size (2 bits).
+//
+// Lemma 4.1's decoder is DegreeOneK's at k = 2, spelled without the "K2:"
+// prefix, so both schemes share one decoder and one prover:
+//
+//  1. A ⊥ node accepts iff it has degree 1 and its unique neighbor is ⊤.
+//  2. A ⊤ node accepts iff exactly one neighbor is ⊥ and all remaining
+//     neighbors carry one common color β ∈ {0, 1}.
+//  3. A colored node accepts iff at most one neighbor is ⊤ and every other
+//     neighbor carries the opposite color.
 func DegreeOne() core.Scheme {
 	return core.Scheme{
 		Name:    "degree-one",
-		Decoder: &degOneDecoder{},
-		Prover:  &degOneProver{},
+		Decoder: &degOneKDecoder{k: 2},
+		Prover:  &degOneKProver{k: 2},
 		Promise: core.Promise{
 			Lang: core.TwoCol(),
 			InClass: func(g *graph.Graph) bool {
@@ -41,109 +46,4 @@ func DegreeOne() core.Scheme {
 		},
 		CertBits: func(string) int { return 2 },
 	}
-}
-
-type degOneDecoder struct{}
-
-var _ core.Decoder = (*degOneDecoder)(nil)
-
-func (d *degOneDecoder) Rounds() int     { return 1 }
-func (d *degOneDecoder) Anonymous() bool { return true }
-
-// Decide implements the three rules of Lemma 4.1's decoder:
-//
-//  1. A ⊥ node accepts iff it has degree 1 and its unique neighbor is ⊤.
-//  2. A ⊤ node accepts iff exactly one neighbor is ⊥ and all remaining
-//     neighbors carry one common color β ∈ {0, 1}.
-//  3. A colored node accepts iff at most one neighbor is ⊤ and every other
-//     neighbor carries the opposite color.
-func (d *degOneDecoder) Decide(mu *view.View) bool {
-	center := view.Center
-	nbs := mu.Adj[center]
-	switch mu.Labels[center] {
-	case DegOneBottom:
-		return len(nbs) == 1 && mu.Labels[nbs[0]] == DegOneTop
-	case DegOneTop:
-		bottoms := 0
-		common := ""
-		for _, w := range nbs {
-			switch l := mu.Labels[w]; l {
-			case DegOneBottom:
-				bottoms++
-			case DegOneColor0, DegOneColor1:
-				if common == "" {
-					common = l
-				} else if common != l {
-					return false
-				}
-			default:
-				return false
-			}
-		}
-		return bottoms == 1
-	case DegOneColor0, DegOneColor1:
-		own := mu.Labels[center]
-		tops := 0
-		for _, w := range nbs {
-			switch l := mu.Labels[w]; l {
-			case DegOneTop:
-				tops++
-				if tops > 1 {
-					return false
-				}
-			case DegOneColor0, DegOneColor1:
-				if l == own {
-					return false
-				}
-			default:
-				return false
-			}
-		}
-		return true
-	default:
-		return false
-	}
-}
-
-type degOneProver struct{}
-
-var _ core.Prover = (*degOneProver)(nil)
-
-// Certify hides the 2-coloring at the smallest degree-1 node: that node
-// becomes ⊥, its unique neighbor ⊤, and every other node reveals its color
-// in a proper 2-coloring. Within the ⊤ node's component the coloring
-// guarantees all of ⊤'s remaining neighbors share one color.
-func (p *degOneProver) Certify(inst core.Instance) ([]string, error) {
-	g := inst.G
-	coloring, ok := g.TwoColoring()
-	if !ok {
-		return nil, errors.New("graph is not bipartite")
-	}
-	hidden := -1
-	for v := 0; v < g.N(); v++ {
-		if g.Degree(v) == 1 {
-			hidden = v
-			break
-		}
-	}
-	if hidden == -1 {
-		return nil, fmt.Errorf("graph has no degree-1 node (outside class H1): %v", g)
-	}
-	top := g.Neighbors(hidden)[0]
-	labels := make([]string, g.N())
-	for v := 0; v < g.N(); v++ {
-		switch v {
-		case hidden:
-			labels[v] = DegOneBottom
-		case top:
-			labels[v] = DegOneTop
-		default:
-			if coloring[v] == 0 {
-				labels[v] = DegOneColor0
-			} else {
-				labels[v] = DegOneColor1
-			}
-		}
-	}
-	return labels, nil
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/graph"
@@ -29,10 +28,11 @@ import (
 // direction the paper defers; the tests explore the neighborhood-graph
 // slice and record the verdict without asserting it.
 func DegreeOneK(k int) core.Scheme {
+	prefix := degOneKPrefix(k)
 	return core.Scheme{
 		Name:    fmt.Sprintf("degree-one-%d-col", k),
-		Decoder: &degOneKDecoder{k: k, prefix: fmt.Sprintf("K%d:", k)},
-		Prover:  &degOneKProver{k: k},
+		Decoder: &degOneKDecoder{k: k, prefix: prefix},
+		Prover:  &degOneKProver{k: k, prefix: prefix},
 		Promise: core.Promise{
 			Lang: core.KCol(k),
 			InClass: func(g *graph.Graph) bool {
@@ -43,16 +43,26 @@ func DegreeOneK(k int) core.Scheme {
 	}
 }
 
+// degOneKPrefix is the prefix "K<k>:" shared by every DegreeOneK(k) label.
+func degOneKPrefix(k int) string { return "K" + strconv.Itoa(k) + ":" }
+
 // DegOneKLabel builds the certificate strings of DegreeOneK: pass
 // color = -1 for ⊥ and color = -2 for ⊤.
 func DegOneKLabel(k, color int) string {
+	return degOneKLabel(degOneKPrefix(k), color)
+}
+
+// degOneKLabel spells a certificate under the given scheme prefix: the
+// prefix, then B for ⊥ (color -1), T for ⊤ (color -2), or the color in
+// decimal. DegreeOne uses the empty prefix.
+func degOneKLabel(prefix string, color int) string {
 	switch color {
 	case -1:
-		return fmt.Sprintf("K%d:B", k)
+		return prefix + "B"
 	case -2:
-		return fmt.Sprintf("K%d:T", k)
+		return prefix + "T"
 	default:
-		return fmt.Sprintf("K%d:%d", k, color)
+		return prefix + strconv.Itoa(color)
 	}
 }
 
@@ -72,7 +82,7 @@ type degOneKCert struct {
 
 type degOneKDecoder struct {
 	k      int
-	prefix string // "K<k>:", shared by every certificate of the scheme
+	prefix string // "K<k>:" for DegreeOneK, empty for DegreeOne
 }
 
 var _ core.Decoder = (*degOneKDecoder)(nil)
@@ -80,24 +90,19 @@ var _ core.Decoder = (*degOneKDecoder)(nil)
 func (d *degOneKDecoder) Rounds() int     { return 1 }
 func (d *degOneKDecoder) Anonymous() bool { return true }
 
-// parse decodes one certificate; ok is false for any label that is not a
-// certificate of this scheme.
+// parse decodes one certificate; ok is false for any label that
+// degOneKLabel does not emit for this decoder's prefix and k.
 func (d *degOneKDecoder) parse(label string) (c degOneKCert, ok bool) {
-	body, found := strings.CutPrefix(label, d.prefix)
-	if !found {
-		return degOneKCert{}, false
-	}
-	switch body {
+	sc := newCertScanner(label)
+	sc.lit(d.prefix)
+	switch sc.s {
 	case "B":
-		return degOneKCert{kind: 'B'}, true
+		return degOneKCert{kind: 'B'}, sc.ok
 	case "T":
-		return degOneKCert{kind: 'T'}, true
+		return degOneKCert{kind: 'T'}, sc.ok
 	}
-	col, err := strconv.Atoi(body)
-	if err != nil || col < 0 || col >= d.k {
-		return degOneKCert{}, false
-	}
-	return degOneKCert{kind: 'C', color: col}, true
+	col := sc.num()
+	return degOneKCert{kind: 'C', color: col}, sc.done() && col < d.k
 }
 
 // Decide rejects as soon as any label in the view fails to parse or breaks
@@ -177,11 +182,16 @@ func (d *degOneKDecoder) Decide(mu *view.View) bool {
 }
 
 type degOneKProver struct {
-	k int
+	k      int
+	prefix string // as on degOneKDecoder
 }
 
 var _ core.Prover = (*degOneKProver)(nil)
 
+// Certify hides the k-coloring at the smallest degree-1 node: that node
+// becomes ⊥, its unique neighbor ⊤, and every other node reveals its color
+// in a proper k-coloring. At k = 2 the coloring makes all of ⊤'s remaining
+// neighbors share one color, as Lemma 4.1 requires.
 func (p *degOneKProver) Certify(inst core.Instance) ([]string, error) {
 	g := inst.G
 	coloring, ok := g.KColoring(p.k)
@@ -203,11 +213,11 @@ func (p *degOneKProver) Certify(inst core.Instance) ([]string, error) {
 	for v := 0; v < g.N(); v++ {
 		switch v {
 		case hidden:
-			labels[v] = DegOneKLabel(p.k, -1)
+			labels[v] = degOneKLabel(p.prefix, -1)
 		case top:
-			labels[v] = DegOneKLabel(p.k, -2)
+			labels[v] = degOneKLabel(p.prefix, -2)
 		default:
-			labels[v] = DegOneKLabel(p.k, coloring[v])
+			labels[v] = degOneKLabel(p.prefix, coloring[v])
 		}
 	}
 	return labels, nil

@@ -1,10 +1,7 @@
 package decoders
 
 import (
-	"fmt"
 	"math/rand"
-	"strconv"
-	"strings"
 	"testing"
 
 	"hidinglcp/internal/core"
@@ -110,46 +107,6 @@ func TestDegreeOneKTopFreeColor(t *testing.T) {
 	}
 }
 
-func TestDegreeOneKMatchesDegreeOneForK2(t *testing.T) {
-	// For k = 2 the generalization must agree with the Lemma 4.1 scheme on
-	// every labeling of small instances (after translating the alphabets).
-	orig := DegreeOne()
-	gen := DegreeOneK(2)
-	translate := map[string]string{
-		DegOneBottom: DegOneKLabel(2, -1),
-		DegOneTop:    DegOneKLabel(2, -2),
-		DegOneColor0: DegOneKLabel(2, 0),
-		DegOneColor1: DegOneKLabel(2, 1),
-	}
-	graph.EnumConnectedGraphs(4, func(g *graph.Graph) bool {
-		inst := core.NewAnonymousInstance(g.Clone())
-		graph.EnumLabelings(g.N(), 4, func(idx []int) bool {
-			origLabels := make([]string, g.N())
-			genLabels := make([]string, g.N())
-			for v, a := range idx {
-				origLabels[v] = DegOneAlphabet()[a]
-				genLabels[v] = translate[origLabels[v]]
-			}
-			a, err := core.Run(orig.Decoder, core.MustNewLabeled(inst, origLabels))
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := core.Run(gen.Decoder, core.MustNewLabeled(inst, genLabels))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for v := range a {
-				if a[v] != b[v] {
-					t.Fatalf("disagreement at node %d of %v under %v: DegreeOne=%v DegreeOneK(2)=%v",
-						v, g, origLabels, a[v], b[v])
-				}
-			}
-			return true
-		})
-		return true
-	})
-}
-
 // TestDegreeOneKHidingExploration records (without asserting) whether the
 // k = 3 generalization exhibits a hiding witness on the small exhaustive
 // slice: a non-3-colorable accepting neighborhood graph. This is the open
@@ -202,7 +159,7 @@ func TestDegreeOneKCertBits(t *testing.T) {
 
 func TestParseDegOneKCertErrors(t *testing.T) {
 	d := DegreeOneK(3).Decoder.(*degOneKDecoder)
-	bad := []string{"", "K3", "K3:", "K3:9", "K3:x", "K2:1", "junk"}
+	bad := []string{"", "K3", "K3:", "K3:9", "K3:x", "K2:1", "junk", "K3:01", "K3:+1", "K3:1 ", "K3:B0"}
 	for _, l := range bad {
 		if _, ok := d.parse(l); ok {
 			t.Errorf("parse(%q) succeeded for k = 3", l)
@@ -211,70 +168,85 @@ func TestParseDegOneKCertErrors(t *testing.T) {
 	if c, ok := d.parse("K3:2"); !ok || c.kind != 'C' || c.color != 2 {
 		t.Errorf("K3:2 parsed as %+v, %v", c, ok)
 	}
+	// DegreeOne is the bare k = 2 spelling: exactly 0, 1, B and T.
+	bare := DegreeOne().Decoder.(*degOneKDecoder)
+	for _, l := range []string{"", "2", "01", "+1", "00", "1 ", "K2:0", "BT", "b"} {
+		if _, ok := bare.parse(l); ok {
+			t.Errorf("parse(%q) succeeded for DegreeOne", l)
+		}
+	}
+	for _, l := range DegOneAlphabet() {
+		if _, ok := bare.parse(l); !ok {
+			t.Errorf("parse(%q) failed for DegreeOne", l)
+		}
+	}
 }
 
-// degOneKOracle is the DegreeOneK rule set written the plain way: parse
-// every label of the center's neighborhood, then apply the ⊥/⊤/colored
-// rules with a map of neighbor colors.
-func degOneKOracle(k int, mu *view.View) bool {
-	parse := func(l string) (degOneKCert, bool) {
-		body, ok := strings.CutPrefix(l, fmt.Sprintf("K%d:", k))
-		if !ok {
-			return degOneKCert{}, false
-		}
-		if body == "B" || body == "T" {
-			return degOneKCert{kind: body[0]}, true
-		}
-		c, err := strconv.Atoi(body)
-		return degOneKCert{kind: 'C', color: c}, err == nil && c >= 0 && c < k
+// degOneKOracle is the DegreeOneK rule set written the plain way: a label
+// parses iff degOneKLabel emits it for the prefix and some color in
+// [-2, k), and the ⊥/⊤/colored rules run over a map of neighbor colors.
+func degOneKOracle(k int, prefix string) func(mu *view.View) bool {
+	certs := map[string]degOneKCert{
+		degOneKLabel(prefix, -1): {kind: 'B'},
+		degOneKLabel(prefix, -2): {kind: 'T'},
 	}
-	own, ok := parse(mu.Labels[view.Center])
-	if !ok {
-		return false
+	for c := 0; c < k; c++ {
+		certs[degOneKLabel(prefix, c)] = degOneKCert{kind: 'C', color: c}
 	}
-	var certs []degOneKCert
-	for _, w := range mu.Adj[view.Center] {
-		c, ok := parse(mu.Labels[w])
+	return func(mu *view.View) bool {
+		own, ok := certs[mu.Labels[view.Center]]
 		if !ok {
 			return false
 		}
-		certs = append(certs, c)
-	}
-	kinds := map[byte]int{}
-	colors := map[int]bool{}
-	for _, c := range certs {
-		kinds[c.kind]++
-		if c.kind == 'C' {
-			colors[c.color] = true
+		var nbs []degOneKCert
+		for _, w := range mu.Adj[view.Center] {
+			c, ok := certs[mu.Labels[w]]
+			if !ok {
+				return false
+			}
+			nbs = append(nbs, c)
 		}
-	}
-	switch own.kind {
-	case 'B':
-		return len(certs) == 1 && kinds['T'] == 1
-	case 'T':
-		return kinds['T'] == 0 && kinds['B'] == 1 && len(colors) <= k-1
-	default:
-		return kinds['B'] == 0 && kinds['T'] <= 1 && !colors[own.color]
+		kinds := map[byte]int{}
+		colors := map[int]bool{}
+		for _, c := range nbs {
+			kinds[c.kind]++
+			if c.kind == 'C' {
+				colors[c.color] = true
+			}
+		}
+		switch own.kind {
+		case 'B':
+			return len(nbs) == 1 && kinds['T'] == 1
+		case 'T':
+			return kinds['T'] == 0 && kinds['B'] == 1 && len(colors) <= k-1
+		default:
+			return kinds['B'] == 0 && kinds['T'] <= 1 && !colors[own.color]
+		}
 	}
 }
 
 // TestDegreeOneKDecideMatchesOracle compares Decide with degOneKOracle at
 // every node of every labeling of small stars and paths, over alphabets
-// that mix certificates with malformed labels. k = 66 drives the colors
-// past the 64-bit mask into the slice fallback.
+// that mix certificates with malformed labels and non-canonical spellings.
+// The bare case is DegreeOne, the k = 2 scheme without a prefix. k = 66
+// drives the colors past the 64-bit mask into the slice fallback.
 func TestDegreeOneKDecideMatchesOracle(t *testing.T) {
 	for _, tc := range []struct {
+		scheme core.Scheme
 		k      int
+		prefix string
 		colors []int
+		extra  []string
 	}{
-		{2, []int{0, 1}},
-		{3, []int{0, 1, 2}},
-		{66, []int{0, 63, 64, 65}},
+		{DegreeOne(), 2, "", []int{0, 1}, []string{"2", "x", "01", "+1", "K2:0"}},
+		{DegreeOneK(2), 2, "K2:", []int{0, 1}, []string{"K2:2", "K1:0", "0"}},
+		{DegreeOneK(3), 3, "K3:", []int{0, 1, 2}, []string{"K3:3", "K1:0", "K3:01", "K3:+1"}},
+		{DegreeOneK(66), 66, "K66:", []int{0, 63, 64, 65}, []string{"K66:66", "K1:0"}},
 	} {
-		d := DegreeOneK(tc.k).Decoder
-		alphabet := []string{DegOneKLabel(tc.k, -1), DegOneKLabel(tc.k, -2), fmt.Sprintf("K%d:%d", tc.k, tc.k), "K1:0"}
+		d, oracle := tc.scheme.Decoder, degOneKOracle(tc.k, tc.prefix)
+		alphabet := append([]string{degOneKLabel(tc.prefix, -1), degOneKLabel(tc.prefix, -2)}, tc.extra...)
 		for _, c := range tc.colors {
-			alphabet = append(alphabet, DegOneKLabel(tc.k, c))
+			alphabet = append(alphabet, degOneKLabel(tc.prefix, c))
 		}
 		for _, g := range []*graph.Graph{graph.Star(5), graph.Path(4)} {
 			inst := core.NewAnonymousInstance(g)
@@ -285,8 +257,8 @@ func TestDegreeOneKDecideMatchesOracle(t *testing.T) {
 				}
 				for v := 0; v < g.N(); v++ {
 					mu := view.MustExtract(g, inst.Prt, nil, labels, inst.NBound, v, 1)
-					if got, want := d.Decide(mu), degOneKOracle(tc.k, mu); got != want {
-						t.Fatalf("k=%d node %d of %v under %q: Decide=%v, oracle=%v", tc.k, v, g, labels, got, want)
+					if got, want := d.Decide(mu), oracle(mu); got != want {
+						t.Fatalf("%s node %d of %v under %q: Decide=%v, oracle=%v", tc.scheme.Name, v, g, labels, got, want)
 					}
 				}
 				return true
@@ -300,7 +272,7 @@ func TestDegreeOneKDecideMatchesOracle(t *testing.T) {
 // 65 distinct neighbor colors (one repeated), and rejects all 66.
 func TestDegreeOneKTopFreeColorWide(t *testing.T) {
 	const k = 66
-	d := DegreeOneK(k).Decoder
+	d, oracle := DegreeOneK(k).Decoder, degOneKOracle(k, degOneKPrefix(k))
 	for _, tc := range []struct {
 		colors []int
 		want   bool
@@ -315,8 +287,8 @@ func TestDegreeOneKTopFreeColorWide(t *testing.T) {
 			labels = append(labels, DegOneKLabel(k, c))
 		}
 		mu := view.MustExtract(g, graph.DefaultPorts(g), nil, labels, g.N(), 0, 1)
-		if got := d.Decide(mu); got != tc.want || got != degOneKOracle(k, mu) {
-			t.Errorf("⊤ with neighbor colors %v: Decide=%v, oracle=%v, want %v", tc.colors, got, degOneKOracle(k, mu), tc.want)
+		if got, want := d.Decide(mu), oracle(mu); got != tc.want || got != want {
+			t.Errorf("⊤ with neighbor colors %v: Decide=%v, oracle=%v, want %v", tc.colors, got, want, tc.want)
 		}
 	}
 }

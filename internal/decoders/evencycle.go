@@ -59,101 +59,24 @@ type cycleCert struct {
 	color   [3]int // color[j] for own port j in {1,2}
 }
 
-var (
-	errCycleMalformed = fmt.Errorf("malformed even-cycle certificate")
-	errCycleFarPort   = fmt.Errorf("far port out of range (want 1 or 2)")
-	errCycleColor     = fmt.Errorf("color out of range (want 0 or 1)")
-)
-
-func parseCycleCert(label string) (cycleCert, error) {
-	var c cycleCert
-	if len(label) < 2 || label[0] != 'C' || label[1] != ':' {
-		// Sscanf matches the "C:" literal without space skipping, so these
-		// labels are rejects on the slow path too — return a shared error
-		// instead of paying the scan-state and Errorf allocations (decoders
-		// see arbitrary adversarial labels, so this is a hot reject).
-		return c, errCycleMalformed
+// parseCycleCert decodes an EvenCycle certificate; ok is false for any
+// label EvenCycleLabel does not emit with ports in {1, 2} and colors in
+// {0, 1}.
+func parseCycleCert(label string) (c cycleCert, ok bool) {
+	sc := newCertScanner(label)
+	sc.lit("C:")
+	c.farPort[1] = sc.num()
+	sc.lit(",")
+	c.color[1] = sc.num()
+	sc.lit(";")
+	c.farPort[2] = sc.num()
+	sc.lit(",")
+	c.color[2] = sc.num()
+	ok = sc.done()
+	for j := 1; j <= 2; j++ {
+		ok = ok && (c.farPort[j] == 1 || c.farPort[j] == 2) && c.color[j] <= 1
 	}
-	q1, c1, q2, c2, ok := parseCycleCertFast(label)
-	if !ok {
-		var err error
-		if q1, c1, q2, c2, err = parseCycleCertSlow(label); err != nil {
-			return c, fmt.Errorf("malformed even-cycle certificate (len=%d): %w", len(label), err)
-		}
-	}
-	if (q1 != 1 && q1 != 2) || (q2 != 1 && q2 != 2) {
-		return c, errCycleFarPort
-	}
-	if (c1 != 0 && c1 != 1) || (c2 != 0 && c2 != 1) {
-		return c, errCycleColor
-	}
-	c.farPort[1], c.color[1] = q1, c1
-	c.farPort[2], c.color[2] = q2, c2
-	return c, nil
-}
-
-// parseCycleCertSlow is the fmt.Sscanf fallback for labels outside the
-// canonical spelling (signs, spaces, overlong digit runs); it keeps the
-// historical accept/reject behavior on adversarial labels bit-identical. It
-// lives in its own function so the Sscanf vararg escapes are confined to
-// the rare slow calls — inlined at the fast-path call site they would heap-
-// allocate all four result ints on every parse.
-func parseCycleCertSlow(label string) (q1, c1, q2, c2 int, err error) {
-	_, err = fmt.Sscanf(label, "C:%d,%d;%d,%d", &q1, &c1, &q2, &c2)
-	return
-}
-
-// parseCycleCertFast parses the canonical digit-only spelling
-// "C:<d>,<d>;<d>,<d>" — exactly what EvenCycleLabel emits, with trailing
-// bytes after the fourth number ignored, matching Sscanf. It reports !ok
-// for every other shape (signs, spaces, empty or overlong digit runs),
-// deferring those to the fmt.Sscanf slow path so verdicts never diverge
-// from the historical parser.
-func parseCycleCertFast(label string) (q1, c1, q2, c2 int, ok bool) {
-	if len(label) < 2 || label[0] != 'C' || label[1] != ':' {
-		return 0, 0, 0, 0, false
-	}
-	i := 2
-	if q1, i, ok = scanCertUint(label, i); !ok {
-		return 0, 0, 0, 0, false
-	}
-	if i >= len(label) || label[i] != ',' {
-		return 0, 0, 0, 0, false
-	}
-	if c1, i, ok = scanCertUint(label, i+1); !ok {
-		return 0, 0, 0, 0, false
-	}
-	if i >= len(label) || label[i] != ';' {
-		return 0, 0, 0, 0, false
-	}
-	if q2, i, ok = scanCertUint(label, i+1); !ok {
-		return 0, 0, 0, 0, false
-	}
-	if i >= len(label) || label[i] != ',' {
-		return 0, 0, 0, 0, false
-	}
-	if c2, _, ok = scanCertUint(label, i+1); !ok {
-		return 0, 0, 0, 0, false
-	}
-	return q1, c1, q2, c2, true
-}
-
-// scanCertUint scans a nonempty run of at most 9 decimal digits starting at
-// i (longer runs could overflow and are deferred to the slow path).
-func scanCertUint(s string, i int) (val, next int, ok bool) {
-	start := i
-	v := 0
-	for i < len(s) && s[i] >= '0' && s[i] <= '9' {
-		if i-start >= 9 {
-			return 0, 0, false
-		}
-		v = v*10 + int(s[i]-'0')
-		i++
-	}
-	if i == start {
-		return 0, 0, false
-	}
-	return v, i, true
+	return c, ok
 }
 
 type evenCycleDecoder struct{}
@@ -173,8 +96,8 @@ func (d *evenCycleDecoder) Decide(mu *view.View) bool {
 	if mu.Degree(center) != 2 {
 		return false
 	}
-	own, err := parseCycleCert(mu.Labels[center])
-	if err != nil {
+	own, ok := parseCycleCert(mu.Labels[center])
+	if !ok {
 		return false
 	}
 	if own.color[1] == own.color[2] {
@@ -192,8 +115,8 @@ func (d *evenCycleDecoder) Decide(mu *view.View) bool {
 		if own.farPort[j] != far {
 			return false
 		}
-		nb, err := parseCycleCert(mu.Labels[w])
-		if err != nil {
+		nb, ok := parseCycleCert(mu.Labels[w])
+		if !ok {
 			return false
 		}
 		// The neighbor's entry for its own port `far` must point back

@@ -180,9 +180,9 @@ func TestEvenCycleHiddenEverywhere(t *testing.T) {
 
 func TestEvenCycleLabelRoundTrip(t *testing.T) {
 	l := EvenCycleLabel(2, 1, 1, 0)
-	c, err := parseCycleCert(l)
-	if err != nil {
-		t.Fatal(err)
+	c, ok := parseCycleCert(l)
+	if !ok {
+		t.Fatalf("parseCycleCert(%q) failed", l)
 	}
 	if c.farPort[1] != 2 || c.color[1] != 1 || c.farPort[2] != 1 || c.color[2] != 0 {
 		t.Errorf("round trip lost data: %+v", c)
@@ -192,9 +192,11 @@ func TestEvenCycleLabelRoundTrip(t *testing.T) {
 func TestParseCycleCertErrors(t *testing.T) {
 	bad := []string{
 		"", "garbage", "C:", "C:3,0;1,1", "C:1,5;2,0", "C:1,0", "S0:5:",
+		// Non-canonical spellings of C:1,0;2,1.
+		"C:01,0;2,1", "C:+1,0;2,1", "C:1,0;2,1x", "C: 1,0;2,1", "C:1,0;2,01",
 	}
 	for _, l := range bad {
-		if _, err := parseCycleCert(l); err == nil {
+		if _, ok := parseCycleCert(l); ok {
 			t.Errorf("parseCycleCert(%q) succeeded, want error", l)
 		}
 	}

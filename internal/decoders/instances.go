@@ -75,8 +75,8 @@ func EvenCycleFamily(lens ...int) ([]core.Labeled, error) {
 func FlipCycleLabelColors(labels []string) []string {
 	out := make([]string, len(labels))
 	for i, l := range labels {
-		c, err := parseCycleCert(l)
-		if err != nil {
+		c, ok := parseCycleCert(l)
+		if !ok {
 			out[i] = l
 			continue
 		}
@@ -90,8 +90,8 @@ func FlipCycleLabelColors(labels []string) []string {
 func FlipWatermelonLabelColors(labels []string) []string {
 	out := make([]string, len(labels))
 	for i, l := range labels {
-		c, err := parseMelonCert(l)
-		if err != nil || c.typ != 2 {
+		c, ok := parseMelonCert(l)
+		if !ok || c.typ != 2 {
 			out[i] = l
 			continue
 		}

@@ -2,53 +2,12 @@ package decoders
 
 import "testing"
 
-func TestSchemeByName(t *testing.T) {
-	for _, name := range SchemeNames() {
-		s, err := SchemeByName(name)
-		if err != nil {
-			t.Errorf("SchemeByName(%q): %v", name, err)
-			continue
-		}
-		if s.Decoder == nil || s.Prover == nil {
-			t.Errorf("scheme %q incomplete", name)
-		}
-	}
-	if _, err := SchemeByName("nope"); err == nil {
-		t.Error("unknown scheme accepted")
-	}
-}
-
-func TestAlphabetFor(t *testing.T) {
-	finite := map[string]bool{
-		"trivial": true, "trivial3": true, "degree-one": true,
-		"even-cycle": true, "union": true,
-	}
-	for _, e := range Schemes() {
-		alphabet, err := AlphabetFor(e.Name)
-		if finite[e.Name] {
-			if err != nil {
-				t.Errorf("AlphabetFor(%q): %v", e.Name, err)
-			} else if len(alphabet) == 0 {
-				t.Errorf("AlphabetFor(%q): empty alphabet", e.Name)
-			}
-			continue
-		}
-		// Identifier-dependent certificates: no finite sweep alphabet.
-		if err == nil {
-			t.Errorf("AlphabetFor(%q) succeeded; want identifier-dependence error", e.Name)
-		}
-	}
-	if _, err := AlphabetFor("nope"); err == nil {
-		t.Error("unknown scheme accepted")
-	}
-}
-
 func TestSchemeNamesUnique(t *testing.T) {
 	seen := map[string]bool{}
-	for _, n := range SchemeNames() {
-		if seen[n] {
-			t.Errorf("duplicate scheme name %q", n)
+	for _, e := range Schemes() {
+		if seen[e.Name] {
+			t.Errorf("duplicate scheme name %q", e.Name)
 		}
-		seen[n] = true
+		seen[e.Name] = true
 	}
 }

@@ -2,7 +2,6 @@ package decoders
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"hidinglcp/internal/core"
@@ -103,59 +102,39 @@ func colorBits(colors []int) string {
 type shatterCert struct {
 	typ    int
 	id     int
-	colors []int // types 0 (patched) and 1
-	comp   int   // type 2
-	x      int   // type 2
+	colors string // types 0 (patched) and 1: colorBits of the vector
+	comp   int    // type 2
+	x      int    // type 2
 }
 
-func parseShatterCert(label string) (shatterCert, error) {
-	var c shatterCert
-	parts := strings.Split(label, ":")
-	switch parts[0] {
-	case "S0", "S1":
-		if len(parts) != 3 {
-			return c, fmt.Errorf("type S0/S1 wants 2 fields, got %d", len(parts)-1)
-		}
-		id, err := strconv.Atoi(parts[1])
-		if err != nil || id < 1 {
-			return c, fmt.Errorf("bad identifier (len=%d)", len(parts[1]))
-		}
-		colors := make([]int, len(parts[2]))
-		for i, ch := range parts[2] {
-			switch ch {
-			case '0':
-				colors[i] = 0
-			case '1':
-				colors[i] = 1
-			default:
-				return c, fmt.Errorf("bad color vector (len=%d)", len(parts[2]))
-			}
-		}
-		typ := 0
-		if parts[0] == "S1" {
-			typ = 1
-		}
-		return shatterCert{typ: typ, id: id, colors: colors}, nil
-	case "S2":
-		if len(parts) != 4 {
-			return c, fmt.Errorf("type 2 wants 3 fields, got %d", len(parts)-1)
-		}
-		vals, err := parseInts(strings.Join(parts[1:], ":"), ":")
-		if err != nil {
-			return c, err
-		}
-		if vals[0] < 1 || vals[1] < 1 || (vals[2] != 0 && vals[2] != 1) {
-			return c, fmt.Errorf("fields out of range (len=%d)", len(label))
-		}
-		return shatterCert{typ: 2, id: vals[0], comp: vals[1], x: vals[2]}, nil
-	default:
-		return c, fmt.Errorf("unknown type (len=%d)", len(parts[0]))
+// color returns entry i of the colors vector.
+func (c shatterCert) color(i int) int { return int(c.colors[i] - '0') }
+
+// parseShatterCert decodes a certificate of either Shatter scheme; ok is
+// false for any label the four label builders do not emit with identifier
+// and component at least 1.
+func parseShatterCert(label string) (c shatterCert, ok bool) {
+	if len(label) < 3 || label[0] != 'S' || label[1] < '0' || label[1] > '2' {
+		return c, false
 	}
+	c.typ = int(label[1] - '0')
+	sc := newCertScanner(label[2:])
+	sc.lit(":")
+	c.id = sc.num()
+	sc.lit(":")
+	if c.typ == 2 {
+		c.comp = sc.num()
+		sc.lit(":")
+		c.x = sc.num()
+		return c, sc.done() && c.id >= 1 && c.comp >= 1 && c.x <= 1
+	}
+	c.colors = sc.bits()
+	return c, sc.done() && c.id >= 1
 }
 
 func shatterCertBits(label string) int {
-	c, err := parseShatterCert(label)
-	if err != nil {
+	c, ok := parseShatterCert(label)
+	if !ok {
 		return 8 * len(label)
 	}
 	switch c.typ {
@@ -180,15 +159,15 @@ func (d *shatterDecoder) Anonymous() bool { return false }
 // checks documented on Shatter.
 func (d *shatterDecoder) Decide(mu *view.View) bool {
 	center := view.Center
-	own, err := parseShatterCert(mu.Labels[center])
-	if err != nil {
+	own, ok := parseShatterCert(mu.Labels[center])
+	if !ok {
 		return false
 	}
 	nbs := mu.Adj[center]
 	certs := make([]shatterCert, len(nbs))
 	for i, w := range nbs {
-		c, err := parseShatterCert(mu.Labels[w])
-		if err != nil {
+		c, ok := parseShatterCert(mu.Labels[w])
+		if !ok {
 			return false
 		}
 		certs[i] = c
@@ -230,7 +209,7 @@ func (d *shatterDecoder) Decide(mu *view.View) bool {
 					if mu.IDs[w] != own.id {
 						return false
 					}
-					if !equalInts(certs[i].colors, own.colors) {
+					if certs[i].colors != own.colors {
 						return false
 					}
 				}
@@ -241,7 +220,7 @@ func (d *shatterDecoder) Decide(mu *view.View) bool {
 				if certs[i].comp > len(own.colors) {
 					return false
 				}
-				if own.colors[certs[i].comp-1] != certs[i].x {
+				if own.color(certs[i].comp-1) != certs[i].x {
 					return false
 				}
 			}
@@ -263,7 +242,7 @@ func (d *shatterDecoder) Decide(mu *view.View) bool {
 				if own.comp > len(certs[i].colors) {
 					return false
 				}
-				if certs[i].colors[own.comp-1] != own.x {
+				if certs[i].color(own.comp-1) != own.x {
 					return false
 				}
 			case 2:
@@ -274,18 +253,6 @@ func (d *shatterDecoder) Decide(mu *view.View) bool {
 		}
 		return true
 	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 type shatterProver struct {

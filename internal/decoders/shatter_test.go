@@ -319,9 +319,11 @@ func TestParseShatterCertErrors(t *testing.T) {
 	bad := []string{
 		"", "X", "S0:", "S0:0:", "S1:1", "S1:1:012", "S2:1:1", "S2:0:1:0",
 		"S2:1:0:0", "S2:1:1:7", "S1:abc:00",
+		// Non-canonical spellings of S2:1:1:0 and S1:1:01.
+		"S2:+1:1:0", "S2:01:1:0", "S2:1:1:0 ", "S1:01:01", "S1:-1:01",
 	}
 	for _, l := range bad {
-		if _, err := parseShatterCert(l); err == nil {
+		if _, ok := parseShatterCert(l); ok {
 			t.Errorf("parseShatterCert(%q) succeeded, want error", l)
 		}
 	}

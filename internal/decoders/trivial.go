@@ -38,25 +38,25 @@ func (d *trivialDecoder) Rounds() int     { return 1 }
 func (d *trivialDecoder) Anonymous() bool { return true }
 
 func (d *trivialDecoder) Decide(mu *view.View) bool {
-	own, err := d.color(mu.Labels[view.Center])
-	if err != nil {
+	own, ok := d.color(mu.Labels[view.Center])
+	if !ok {
 		return false
 	}
 	for _, w := range mu.Adj[view.Center] {
-		c, err := d.color(mu.Labels[w])
-		if err != nil || c == own {
+		c, ok := d.color(mu.Labels[w])
+		if !ok || c == own {
 			return false
 		}
 	}
 	return true
 }
 
-func (d *trivialDecoder) color(label string) (int, error) {
-	c, err := strconv.Atoi(label)
-	if err != nil || c < 0 || c >= d.k {
-		return 0, fmt.Errorf("label (len=%d) is not a color in [0,%d)", len(label), d.k)
-	}
-	return c, nil
+// color decodes a certificate; ok is false unless the label is a color in
+// [0, k) spelled as the prover spells it.
+func (d *trivialDecoder) color(label string) (c int, ok bool) {
+	sc := newCertScanner(label)
+	c = sc.num()
+	return c, sc.done() && c < d.k
 }
 
 type trivialProver struct {

@@ -25,7 +25,7 @@ func Union() core.Scheme {
 	cycle := EvenCycle()
 	return core.Scheme{
 		Name:    "union-theorem-1.1",
-		Decoder: &unionDecoder{degOne: degOne.Decoder, cycle: cycle.Decoder},
+		Decoder: &unionDecoder{degOne: degOne.Decoder.(*degOneKDecoder), cycle: cycle.Decoder},
 		Prover:  &unionProver{degOne: degOne.Prover, cycle: cycle.Prover},
 		Promise: core.Promise{
 			Lang: core.TwoCol(),
@@ -39,7 +39,7 @@ func Union() core.Scheme {
 }
 
 type unionDecoder struct {
-	degOne core.Decoder
+	degOne *degOneKDecoder
 	cycle  core.Decoder
 }
 
@@ -49,19 +49,11 @@ func (d *unionDecoder) Rounds() int     { return 1 }
 func (d *unionDecoder) Anonymous() bool { return true }
 
 func (d *unionDecoder) Decide(mu *view.View) bool {
-	if isDegOneLabel(mu.Labels[view.Center]) {
+	if _, ok := d.degOne.parse(mu.Labels[view.Center]); ok {
 		return d.degOne.Decide(mu)
 	}
-	if _, err := parseCycleCert(mu.Labels[view.Center]); err == nil {
+	if _, ok := parseCycleCert(mu.Labels[view.Center]); ok {
 		return d.cycle.Decide(mu)
-	}
-	return false
-}
-
-func isDegOneLabel(label string) bool {
-	switch label {
-	case DegOneColor0, DegOneColor1, DegOneBottom, DegOneTop:
-		return true
 	}
 	return false
 }

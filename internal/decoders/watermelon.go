@@ -2,7 +2,6 @@ package decoders
 
 import (
 	"fmt"
-	"strings"
 
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/graph"
@@ -58,63 +57,40 @@ type melonCert struct {
 	color    [3]int
 }
 
-func parseMelonCert(label string) (melonCert, error) {
-	var c melonCert
-	parts := strings.Split(label, ":")
-	switch parts[0] {
-	case "W1":
-		if len(parts) != 3 {
-			return c, fmt.Errorf("type 1 wants 2 fields, got %d", len(parts)-1)
-		}
-		ids, err := parseInts(strings.Join(parts[1:], ":"), ":")
-		if err != nil {
-			return c, fmt.Errorf("malformed watermelon certificate (len=%d): %w", len(label), err)
-		}
-		c.typ, c.id1, c.id2 = 1, ids[0], ids[1]
-		if c.id1 < 1 || c.id2 <= c.id1 {
-			return c, fmt.Errorf("endpoint ids out of order (len=%d)", len(label))
-		}
-		return c, nil
-	case "W2":
-		if len(parts) != 6 {
-			return c, fmt.Errorf("type 2 wants 5 fields, got %d", len(parts)-1)
-		}
-		head, err := parseInts(strings.Join(parts[1:4], ":"), ":")
-		if err != nil {
-			return c, fmt.Errorf("malformed watermelon certificate (len=%d): %w", len(label), err)
-		}
-		c.typ, c.id1, c.id2, c.path = 2, head[0], head[1], head[2]
-		if c.id1 < 1 || c.id2 <= c.id1 || c.path < 1 {
-			return c, fmt.Errorf("header fields out of range (len=%d)", len(label))
-		}
-		for j := 1; j <= 2; j++ {
-			entry, err := parseInts(parts[3+j], ",")
-			if err != nil || len(entry) != 2 {
-				return c, fmt.Errorf("malformed edge entry %d (len=%d)", j, len(parts[3+j]))
-			}
-			if entry[0] < 1 {
-				return c, fmt.Errorf("far port out of range")
-			}
-			if entry[1] != 0 && entry[1] != 1 {
-				return c, fmt.Errorf("color out of range (want 0 or 1)")
-			}
-			c.farPort[j], c.color[j] = entry[0], entry[1]
-		}
-		if c.color[1] == c.color[2] {
-			// Format requires the two incident edges differently colored
-			// (Theorem 1.4 proof: "the format of ℓ indicates that the two
-			// incident edges of each node have different colors").
-			return c, fmt.Errorf("equal incident edge colors (len=%d)", len(label))
-		}
-		return c, nil
-	default:
-		return c, fmt.Errorf("unknown watermelon certificate type (len=%d)", len(parts[0]))
+// parseMelonCert decodes a watermelon certificate; ok is false for any
+// label the two label builders do not emit with 1 <= id1 < id2, path
+// number and far ports at least 1, colors in {0, 1}, and (by the format of
+// Theorem 1.4's proof: "the two incident edges of each node have different
+// colors") c1 != c2.
+func parseMelonCert(label string) (c melonCert, ok bool) {
+	if len(label) < 2 || label[0] != 'W' || (label[1] != '1' && label[1] != '2') {
+		return c, false
 	}
+	c.typ = int(label[1] - '0')
+	sc := newCertScanner(label[2:])
+	sc.lit(":")
+	c.id1 = sc.num()
+	sc.lit(":")
+	c.id2 = sc.num()
+	ok = c.id1 >= 1 && c.id2 > c.id1
+	if c.typ == 2 {
+		sc.lit(":")
+		c.path = sc.num()
+		for j := 1; j <= 2; j++ {
+			sc.lit(":")
+			c.farPort[j] = sc.num()
+			sc.lit(",")
+			c.color[j] = sc.num()
+			ok = ok && c.farPort[j] >= 1 && c.color[j] <= 1
+		}
+		ok = ok && c.path >= 1 && c.color[1] != c.color[2]
+	}
+	return c, ok && sc.done()
 }
 
 func watermelonCertBits(label string) int {
-	c, err := parseMelonCert(label)
-	if err != nil {
+	c, ok := parseMelonCert(label)
+	if !ok {
 		return 8 * len(label)
 	}
 	bits := 1 + bitsForValue(c.id1) + bitsForValue(c.id2)
@@ -135,15 +111,15 @@ func (d *watermelonDecoder) Anonymous() bool { return false }
 // 3(a)-(c) of its proof).
 func (d *watermelonDecoder) Decide(mu *view.View) bool {
 	center := view.Center
-	own, err := parseMelonCert(mu.Labels[center])
-	if err != nil {
+	own, ok := parseMelonCert(mu.Labels[center])
+	if !ok {
 		return false
 	}
 	nbs := mu.Adj[center]
 	certs := make(map[int]melonCert, len(nbs))
 	for _, w := range nbs {
-		c, err := parseMelonCert(mu.Labels[w])
-		if err != nil {
+		c, ok := parseMelonCert(mu.Labels[w])
+		if !ok {
 			return false
 		}
 		// Condition 1: all neighbors agree on the endpoint identifiers.

@@ -268,9 +268,9 @@ func TestWatermelonHidingFamily(t *testing.T) {
 
 func TestWatermelonLabelRoundTrip(t *testing.T) {
 	l := WatermelonPathLabel(1, 8, 3, 2, 0, 1, 1)
-	c, err := parseMelonCert(l)
-	if err != nil {
-		t.Fatal(err)
+	c, ok := parseMelonCert(l)
+	if !ok {
+		t.Fatalf("parseMelonCert(%q) failed", l)
 	}
 	if c.typ != 2 || c.id1 != 1 || c.id2 != 8 || c.path != 3 {
 		t.Errorf("header lost: %+v", c)
@@ -279,9 +279,9 @@ func TestWatermelonLabelRoundTrip(t *testing.T) {
 		t.Errorf("entries lost: %+v", c)
 	}
 	e := WatermelonEndpointLabel(2, 9)
-	ce, err := parseMelonCert(e)
-	if err != nil {
-		t.Fatal(err)
+	ce, ok := parseMelonCert(e)
+	if !ok {
+		t.Fatalf("parseMelonCert(%q) failed", e)
 	}
 	if ce.typ != 1 || ce.id1 != 2 || ce.id2 != 9 {
 		t.Errorf("endpoint header lost: %+v", ce)
@@ -293,9 +293,11 @@ func TestParseMelonCertErrors(t *testing.T) {
 		"", "W1:5:3", "W1:5", "W1:0:3", "W2:1:8:1:1,0:1,0", // equal colors
 		"W2:1:8:0:1,0:1,1", "W2:1:8:1:0,0:1,1", "W2:1:8:1:1,2:1,0",
 		"W2:1:8:1:1,0", "junk", "W3:1:2",
+		// Non-canonical spellings of W1:1:2 and W2:1:8:1:2,0:1,1.
+		"W1:1:02", "W1:+1:2", "W1:1:2:", "W2:1:8:1:2,0:1,1x", "W2:1:8:01:2,0:1,1",
 	}
 	for _, l := range bad {
-		if _, err := parseMelonCert(l); err == nil {
+		if _, ok := parseMelonCert(l); ok {
 			t.Errorf("parseMelonCert(%q) succeeded, want error", l)
 		}
 	}

@@ -15,7 +15,10 @@ import (
 
 func TestRegistryMatchesDecoders(t *testing.T) {
 	r := Default()
-	want := decoders.SchemeNames()
+	var want []string
+	for _, e := range decoders.Schemes() {
+		want = append(want, e.Name)
+	}
 	got := r.SchemeNames()
 	if len(got) != len(want) {
 		t.Fatalf("registry has %d schemes, decoders %d", len(got), len(want))

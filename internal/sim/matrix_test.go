@@ -43,12 +43,8 @@ func matrixGraphs(t *testing.T) []struct {
 func TestDifferentialMatrix(t *testing.T) {
 	// Collect the distinct verification radii of every registered scheme.
 	radii := map[int]bool{}
-	for _, name := range decoders.SchemeNames() {
-		s, err := decoders.SchemeByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		radii[s.Decoder.Rounds()] = true
+	for _, e := range decoders.Schemes() {
+		radii[e.New().Decoder.Rounds()] = true
 	}
 	if len(radii) == 0 {
 		t.Fatal("no registered schemes")
@@ -96,17 +92,14 @@ func TestSchemeMatrixZeroPlan(t *testing.T) {
 		"shatter-literal": graph.Grid(3, 3),
 		"watermelon":      graph.MustWatermelon([]int{2, 4, 2}),
 	}
-	for _, name := range decoders.SchemeNames() {
-		g, ok := yes[name]
+	for _, e := range decoders.Schemes() {
+		g, ok := yes[e.Name]
 		if !ok {
-			t.Errorf("no yes-instance registered for scheme %q; extend the matrix", name)
+			t.Errorf("no yes-instance registered for scheme %q; extend the matrix", e.Name)
 			continue
 		}
-		t.Run(name, func(t *testing.T) {
-			s, err := decoders.SchemeByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
+		t.Run(e.Name, func(t *testing.T) {
+			s := e.New()
 			inst := core.NewInstance(g)
 			accept, stats, err := RunScheme(s, inst)
 			if err != nil {

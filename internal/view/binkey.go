@@ -1,7 +1,6 @@
 package view
 
 import (
-	"bytes"
 	"encoding/binary"
 	"slices"
 	"strings"
@@ -10,10 +9,10 @@ import (
 )
 
 // keyScratch holds every per-call buffer of the canonical-key computation:
-// orderings, refinement colors, flat arm storage, and the serialization
-// candidates. The buffers are recycled through keyScratchPool; nothing
-// reachable from a scratch may be returned to a caller — the final key is
-// always a fresh copy (see the escape rules of internal/mem).
+// orderings, refinement colors, and flat arm storage. The buffers are
+// recycled through keyScratchPool; nothing reachable from a scratch may be
+// returned to a caller — the final key is always a fresh copy (see the
+// escape rules of internal/mem).
 type keyScratch struct {
 	ord, color, next []int // refinement working set
 	armStart, armNbr []int
@@ -23,7 +22,6 @@ type keyScratch struct {
 	classes          [][]int // class headers over classNodes
 	tmp              []int   // idOrder duplicate detection
 	order, pos       []int   // serialization ordering and its inverse
-	cand, best       []byte  // minimization candidates
 }
 
 var keyScratchPool mem.Pool[keyScratch]
@@ -35,10 +33,9 @@ var keyScratchPool mem.Pool[keyScratch]
 // append-to-[]byte varint serialization.
 //
 // When identifiers are present and distinct they already determine the
-// canonical node order; otherwise the key is the byte-wise minimum over the
-// node orderings that put the center first and permute nodes only within
-// classes of a Weisfeiler-Leman-style refinement run over integer color
-// arrays (views are small, so the search is cheap).
+// canonical node order; otherwise a Weisfeiler-Leman-style refinement run
+// over integer color arrays does, because it always ends with every node
+// in a class of its own (see refinedBinKey).
 //
 // The key is computed once and cached. The returned slice is shared; the
 // caller must not modify it.
@@ -72,7 +69,7 @@ func (v *View) computeBinKey() []byte {
 		sc.pos = mem.Ints(sc.pos, v.N())
 		return v.appendBinSerialize(nil, sc.order, sc.pos)
 	}
-	return v.minBinKey(sc)
+	return v.refinedBinKey(sc)
 }
 
 // idOrderSortCutoff is the view size above which idOrderInto switches from
@@ -172,70 +169,37 @@ func (v *View) appendBinSerialize(dst []byte, order, pos []int) []byte {
 	return dst
 }
 
-// minBinKey computes the byte-wise minimum serialization over all
-// orderings that put the center first and otherwise permute nodes only
-// within refined invariant classes. Minimizing any injective serialization
-// over an isomorphism-invariant set of orderings is canonical.
-func (v *View) minBinKey(sc *keyScratch) []byte {
+// refinedBinKey serializes the view in the order of its refined classes.
+// The refinement is discrete (every class a single node) for any view that
+// meets the View invariants: the ports at a node are distinct, and both
+// orientations of every visible edge are present. By induction on the
+// distance d from the center, every node at distance <= d ends in a class
+// of its own:
+//
+//   - d = 0: the center is the only node at distance 0, and distance is
+//     part of the round-0 color.
+//   - d -> d+1: a node x at distance d+1 has a neighbor u at distance d,
+//     and the edge {x, u} is visible. The arm (port x→u, port u→x, color
+//     of u) belongs to x alone: u is the only node with u's color, and
+//     u's ports to different neighbors differ. A stable coloring gives
+//     equal colors only to nodes with equal arm multisets, so x's color
+//     is unique too.
+//
+// The forced order is therefore invariant under isomorphism, and the
+// serialization is canonical with no search over orderings.
+func (v *View) refinedBinKey(sc *keyScratch) []byte {
 	classes := v.refinedClassesInt(sc)
 	n := v.N()
-	sc.pos = mem.Ints(sc.pos, n)
-	multi := false
-	for _, c := range classes {
-		if len(c) > 1 {
-			multi = true
-			break
-		}
-	}
 	order := mem.Ints(sc.order, n)[:0]
 	for _, c := range classes {
+		if len(c) > 1 {
+			panic("view: refinement not discrete; the view breaks an invariant (duplicate ports at a node, or a visible edge missing one port orientation)")
+		}
 		order = append(order, c...)
 	}
 	sc.order = order
-	if !multi {
-		// Discrete refinement: the ordering is forced, no search needed.
-		return v.appendBinSerialize(nil, order, sc.pos)
-	}
-	// The search permutes each class segment of order in place; the
-	// byte-wise minimum over the whole ordering set is order-independent.
-	sc.best = sc.best[:0]
-	hasBest := false
-	var rec func(ci, lo int)
-	rec = func(ci, lo int) {
-		if ci == len(classes) {
-			sc.cand = v.appendBinSerialize(sc.cand[:0], order, sc.pos)
-			if !hasBest || bytes.Compare(sc.cand, sc.best) < 0 {
-				sc.best = append(sc.best[:0], sc.cand...)
-				hasBest = true
-			}
-			return
-		}
-		permuteInPlace(order[lo:lo+len(classes[ci])], func() {
-			rec(ci+1, lo+len(classes[ci]))
-		})
-	}
-	rec(0, 0)
-	out := make([]byte, len(sc.best))
-	copy(out, sc.best)
-	return out
-}
-
-// permuteInPlace runs fn under every permutation of s, restoring the
-// original order before returning.
-func permuteInPlace(s []int, fn func()) {
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(s) {
-			fn()
-			return
-		}
-		for j := i; j < len(s); j++ {
-			s[i], s[j] = s[j], s[i]
-			rec(i + 1)
-			s[i], s[j] = s[j], s[i]
-		}
-	}
-	rec(0)
+	sc.pos = mem.Ints(sc.pos, n)
+	return v.appendBinSerialize(nil, order, sc.pos)
 }
 
 // refinedClassesInt partitions the local nodes into ordered classes: nodes
@@ -244,7 +208,7 @@ func permuteInPlace(s []int, fn func()) {
 // (port out, port back, neighbor color) arms, all over int arrays — no
 // string signatures. The resulting partition is isomorphism-invariant, as
 // is the class order (by color rank, center always first on its own), which
-// is all minBinKey needs for canonicity. All working storage comes from the
+// is all refinedBinKey needs for canonicity. All working storage comes from the
 // scratch; the returned class slices alias sc.classNodes and are valid only
 // until the scratch is recycled.
 func (v *View) refinedClassesInt(sc *keyScratch) [][]int {

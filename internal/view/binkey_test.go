@@ -188,7 +188,8 @@ func TestBinKeyPartitionPortsAndDuplicateIDs(t *testing.T) {
 
 // TestBinKeyCanonicalUnderRelabeling checks canonicity directly: the same
 // anonymous structure presented under permuted host-node numbering must
-// produce identical binary keys (the property the min-search guarantees).
+// produce identical binary keys (the property the discrete refinement
+// guarantees).
 func TestBinKeyCanonicalUnderRelabeling(t *testing.T) {
 	// C5 labeled twice with rotated node numbering.
 	a := graph.MustCycle(5)
@@ -232,6 +233,31 @@ func TestBinKeyCanonicalUnderRelabeling(t *testing.T) {
 	if !found {
 		t.Fatal("no port assignment reproduces the rotated view")
 	}
+}
+
+// TestBinKeyPanicsOnMissingPortOrientation hand-builds a view that breaks
+// the View invariant "both orientations of every visible edge are
+// present": the star K_{1,2} with only the leaf-side ports, both 1. The
+// two leaves are then indistinguishable, the refinement cannot end
+// discrete, and BinKey must panic rather than return a key that depends on
+// node numbering.
+func TestBinKeyPanicsOnMissingPortOrientation(t *testing.T) {
+	mu := &view.View{
+		Radius: 1,
+		Adj:    [][]int{{1, 2}, {0}, {0}},
+		Dist:   []int{0, 1, 1},
+		Ports:  map[[2]int]int{{1, 0}: 1, {2, 0}: 1},
+		IDs:    []int{0, 0, 0},
+		Labels: []string{"x", "x", "x"},
+		NBound: 3,
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "refinement not discrete") {
+			t.Fatalf("recovered %q, want the refinement-invariant panic", msg)
+		}
+	}()
+	mu.BinKey()
 }
 
 // TestKeyCacheCloneSafety is the satellite mutation test: the key is cached

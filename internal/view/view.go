@@ -30,7 +30,8 @@ type View struct {
 	// Dist[i] is the distance of local node i from the center.
 	Dist []int
 	// Ports maps the ordered local pair (i, j) of a visible edge to
-	// prt(i, {i,j}). Both orientations are present for every visible edge.
+	// prt(i, {i,j}). Both orientations are present for every visible edge,
+	// and the ports at a node are distinct. BinKey relies on both.
 	Ports map[[2]int]int
 	// IDs[i] is the identifier of local node i, or 0 everywhere if the view
 	// has been anonymized.
