@@ -87,9 +87,10 @@ func BenchmarkViewExtractOneShot(b *testing.B) {
 	}
 }
 
-// BenchmarkViewKey ablates canonical-key construction: identifier-ordered
-// (non-anonymous) vs minimal-serialization (anonymous) canonicalization,
-// each measured fresh (Clone drops the key cache) and cached.
+// BenchmarkViewKey ablates key construction: the order key (BinKey),
+// identifier-ordered (non-anonymous) vs refined (anonymous), against the
+// identity key (PortKey) from a view and from a template, each measured
+// fresh (Clone drops the key caches) and cached.
 func BenchmarkViewKey(b *testing.B) {
 	g := graph.Grid(5, 5)
 	pt := graph.DefaultPorts(g)
@@ -105,6 +106,30 @@ func BenchmarkViewKey(b *testing.B) {
 	b.Run("anonymous-min-search/bin", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = anon.Clone().BinKey()
+		}
+	})
+	b.Run("with-ids/port", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = mu.Clone().PortKey()
+		}
+	})
+	b.Run("anonymous/port", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = anon.Clone().PortKey()
+		}
+	})
+	b.Run("anonymous/port-template", func(b *testing.B) {
+		var ex view.Extractor
+		tpl, err := ex.Template(g, pt, nil, g.N(), 12, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var tk view.TemplateKey
+		tk.Reset(tpl)
+		var buf []byte
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buf = tk.AppendKey(buf[:0], labels)
 		}
 	})
 	b.Run("cached", func(b *testing.B) {

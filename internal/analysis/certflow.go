@@ -20,8 +20,8 @@ import (
 // Taint sources (certificate-derived values):
 //
 //   - reads of the Labels field of view.View or core.Labeled,
-//   - results of the canonical serialization view.View.BinKey (it embeds
-//     the raw label bytes),
+//   - results of the view keys view.View.BinKey, view.View.PortKey and
+//     view.TemplateKey.AppendKey (they embed the raw label bytes),
 //   - results of core Prover.Certify calls (the certificate assignment).
 //
 // Sinks (observable surfaces):
@@ -745,7 +745,8 @@ func isCertCarrier(t types.Type) bool {
 }
 
 // isCertSourceCall reports calls whose results embed certificate bytes:
-// view.View.BinKey and any core Certify method.
+// the view keys (View.BinKey, View.PortKey, TemplateKey.AppendKey) and any
+// core Certify method.
 func (e *taintEnv) isCertSourceCall(call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
@@ -760,8 +761,11 @@ func (e *taintEnv) isCertSourceCall(call *ast.CallExpr) bool {
 		return false
 	}
 	switch {
-	case fn.Pkg().Name() == "view" && fn.Name() == "BinKey":
+	case fn.Pkg().Name() == "view" && (fn.Name() == "BinKey" || fn.Name() == "PortKey"):
 		return isCertCarrier(e.cf.pass.Info.TypeOf(sel.X))
+	case fn.Pkg().Name() == "view" && fn.Name() == "AppendKey":
+		// TemplateKey.AppendKey writes the labels it is given into the key.
+		return true
 	case fn.Pkg().Name() == "core" && fn.Name() == "Certify":
 		return true
 	}

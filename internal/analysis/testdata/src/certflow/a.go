@@ -22,6 +22,14 @@ func keyLeak(mu *view.View) {
 	fmt.Println(string(mu.BinKey())) // want "certificate-tainted value flows into fmt.Println output"
 }
 
+// identityKeyLeak: the port key embeds label bytes as well, whether read
+// from a view or written from a template key — even from labels the
+// analyzer cannot see are certificates.
+func identityKeyLeak(sc obs.Scope, mu *view.View, tk *view.TemplateKey, labels []string) {
+	sc.Event("key", string(mu.PortKey()))               // want "certificate-tainted value flows into observability sink obs.Scope.Event"
+	sc.Event("tkey", string(tk.AppendKey(nil, labels))) // want "certificate-tainted value flows into observability sink obs.Scope.Event"
+}
+
 // certifyLeak: prover output is a certificate assignment; an error built
 // from it would cross the CLI boundary onto stderr.
 func certifyLeak(p core.Prover, inst core.Instance) error {

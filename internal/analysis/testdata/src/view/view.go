@@ -40,5 +40,22 @@ func (v *View) BinKey() []byte {
 	return b
 }
 
+// PortKey mirrors the real identity key, which embeds the raw label bytes
+// too; a certflow source.
+func (v *View) PortKey() []byte { return v.BinKey() }
+
+// TemplateKey mirrors the label-free key prefix of a view template.
+type TemplateKey struct{ prefix []byte }
+
+// AppendKey mirrors the real template key writer: it appends the labels it
+// is given, so certflow treats its result as a certificate source.
+func (k *TemplateKey) AppendKey(dst []byte, labels []string) []byte {
+	dst = append(dst, k.prefix...)
+	for _, l := range labels {
+		dst = append(dst, l...)
+	}
+	return dst
+}
+
 // KeyDigest mirrors the real redacted fingerprint; a certflow sanitizer.
 func (v *View) KeyDigest() string { return "fnv32a:00000000#0" }

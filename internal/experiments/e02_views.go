@@ -43,7 +43,7 @@ func E2Views(ctx context.Context) Table {
 			distinct := make(map[string]bool)
 			for v, mu := range views {
 				totalSize += mu.N()
-				distinct[string(mu.Anonymize().BinKey())] = true
+				distinct[string(mu.Anonymize().PortKey())] = true
 				// Count host edges inside the ball that the view omits.
 				ball := c.g.Ball(v, r)
 				inBall := make(map[int]bool, len(ball))

@@ -9,7 +9,6 @@ import (
 	"hidinglcp/internal/decoders"
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/nbhd"
-	"hidinglcp/internal/obs"
 )
 
 // E7Watermelon reproduces Theorem 1.4: the non-anonymous scheme for
@@ -87,7 +86,7 @@ func E7Watermelon(ctx context.Context) Table {
 	mu52, _ := l2.ViewOf(4, 1)
 	t.AddRow("view(u1,I1) = view(u1,I2)", "P8 pair", mu11.Equal(mu12))
 	t.AddRow("view(u4,I1) = view(u5,I2)", "P8 pair", mu41.Equal(mu52))
-	ng, err := nbhd.Build(ctx, obs.Scope{}, s.Decoder, nbhd.FromLabeled(l1, l2), 1, 1)
+	ng, err := nbhd.Build(ctx, scope().Named("E7"), s.Decoder, nbhd.FromLabeled(l1, l2), 1, 1)
 	if err != nil {
 		t.Err = err
 		return t

@@ -8,7 +8,6 @@ import (
 	"hidinglcp/internal/decoders"
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/nbhd"
-	"hidinglcp/internal/obs"
 )
 
 // E8Extraction reproduces Lemma 3.2 in both directions. Forward: for the
@@ -38,7 +37,7 @@ func E8Extraction(ctx context.Context) Table {
 			return true
 		})
 	}
-	ngTriv, err := nbhd.Build(ctx, obs.Scope{}, triv.Decoder, nbhd.AllLabelings([]string{"0", "1"}, insts...), 1, 1)
+	ngTriv, err := nbhd.Build(ctx, scope().Named("E8"), triv.Decoder, nbhd.AllLabelings([]string{"0", "1"}, insts...), 1, 1)
 	if err != nil {
 		t.Err = err
 		return t
@@ -79,7 +78,7 @@ func E8Extraction(ctx context.Context) Table {
 
 	// Backward direction: the hiding schemes.
 	degOne := decoders.DegreeOne()
-	ngDeg, err := nbhd.Build(ctx, obs.Scope{}, degOne.Decoder, nbhd.AllLabelings(decoders.DegOneAlphabet(), decoders.DegOneFamily(4)...), 1, 1)
+	ngDeg, err := nbhd.Build(ctx, scope().Named("E8"), degOne.Decoder, nbhd.AllLabelings(decoders.DegOneAlphabet(), decoders.DegOneFamily(4)...), 1, 1)
 	if err != nil {
 		t.Err = err
 		return t
@@ -94,7 +93,7 @@ func E8Extraction(ctx context.Context) Table {
 		return t
 	}
 	even := decoders.EvenCycle()
-	ngEven, err := nbhd.Build(ctx, obs.Scope{}, even.Decoder, nbhd.FromLabeled(evenFam...), 1, 1)
+	ngEven, err := nbhd.Build(ctx, scope().Named("E8"), even.Decoder, nbhd.FromLabeled(evenFam...), 1, 1)
 	if err != nil {
 		t.Err = err
 		return t
@@ -105,7 +104,7 @@ func E8Extraction(ctx context.Context) Table {
 
 	l1, l2 := decoders.ShatterHidingPair()
 	shatter := decoders.Shatter()
-	ngSh, err := nbhd.Build(ctx, obs.Scope{}, shatter.Decoder, nbhd.FromLabeled(l1, l2), 1, 1)
+	ngSh, err := nbhd.Build(ctx, scope().Named("E8"), shatter.Decoder, nbhd.FromLabeled(l1, l2), 1, 1)
 	if err != nil {
 		t.Err = err
 		return t
@@ -120,7 +119,7 @@ func E8Extraction(ctx context.Context) Table {
 		return t
 	}
 	melon := decoders.Watermelon()
-	ngW, err := nbhd.Build(ctx, obs.Scope{}, melon.Decoder, nbhd.FromLabeled(w1, w2), 1, 1)
+	ngW, err := nbhd.Build(ctx, scope().Named("E8"), melon.Decoder, nbhd.FromLabeled(w1, w2), 1, 1)
 	if err != nil {
 		t.Err = err
 		return t

@@ -9,7 +9,6 @@ import (
 	"hidinglcp/internal/forgetful"
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/nbhd"
-	"hidinglcp/internal/obs"
 	"hidinglcp/internal/view"
 )
 
@@ -105,7 +104,7 @@ func E9Realize(ctx context.Context) Table {
 		labels[i] = "ok"
 	}
 	l := core.MustNewLabeled(core.NewInstance(host), labels)
-	ng, err := nbhd.Build(ctx, obs.Scope{}, okDecoder, nbhd.FromLabeled(l), 1, 1)
+	ng, err := nbhd.Build(ctx, scope().Named("E9"), okDecoder, nbhd.FromLabeled(l), 1, 1)
 	if err != nil {
 		t.Err = err
 		return t
@@ -126,7 +125,7 @@ func E9Realize(ctx context.Context) Table {
 
 	// Stage 5: the non-backtracking odd-walk search (Lemma 5.5) on the
 	// assembled G_bad's accepting views.
-	ngBad, err := nbhd.Build(ctx, obs.Scope{}, okDecoder, nbhd.FromLabeled(gBad), 1, 1)
+	ngBad, err := nbhd.Build(ctx, scope().Named("E9"), okDecoder, nbhd.FromLabeled(gBad), 1, 1)
 	if err != nil {
 		t.Err = err
 		return t

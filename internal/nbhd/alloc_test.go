@@ -5,6 +5,8 @@ package nbhd
 import (
 	"testing"
 
+	"hidinglcp/internal/decoders"
+	"hidinglcp/internal/obs"
 	"hidinglcp/internal/view"
 )
 
@@ -32,5 +34,28 @@ func TestPairSetSteadyStateAllocs(t *testing.T) {
 	}
 	if s.len() != want {
 		t.Errorf("pair count changed across duplicate sweeps: %d -> %d", want, s.len())
+	}
+}
+
+// TestIndexOfViewAllocs pins NGraph.IndexOfView on member views at zero
+// allocations: each view caches its port key, so a repeat lookup is one
+// striped-map probe (BenchmarkNGraphIndexOfView/cached-key).
+func TestIndexOfViewAllocs(t *testing.T) {
+	s := decoders.DegreeOne()
+	ng, err := Build(nil, obs.Scope{}, s.Decoder, AllLabelings(decoders.DegOneAlphabet(), decoders.DegOneFamily(3)...), 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < ng.Size(); i++ {
+		ng.IndexOfView(ng.ViewAt(i))
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		for i := 0; i < ng.Size(); i++ {
+			if ng.IndexOfView(ng.ViewAt(i)) != i {
+				t.Fatalf("view %d not found at its own index", i)
+			}
+		}
+	}); n != 0 {
+		t.Errorf("IndexOfView allocates %.1f objects per sweep of %d views, want 0", n, ng.Size())
 	}
 }

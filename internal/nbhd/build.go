@@ -19,12 +19,13 @@ func appendLenPrefixed(b []byte, s string) []byte {
 }
 
 // builder is one goroutine's accumulator for the Lemma 3.1 construction,
-// running on the canonical-key fast path: views are deduplicated through a
-// shared view.Interner into dense handles, the accepting and loop sets are
-// handle-indexed bool slices instead of map[string] tables, each view
-// class is decided exactly once, by the builder that interns it first, and
-// per-instance view extraction reuses templates whenever the enumerator
-// varies only the labeling of a fixed instance — the AllLabelings hot case.
+// running on the identity-key fast path: views are deduplicated by port
+// key through a shared view.Interner into dense handles, the accepting and
+// loop sets are handle-indexed bool slices instead of map[string] tables,
+// each view class is decided exactly once, by the builder that interns it
+// first, and per-instance view extraction reuses templates whenever the
+// enumerator varies only the labeling of a fixed instance — the
+// AllLabelings hot case.
 //
 // The interner is shared across builders; everything else is private to
 // one goroutine.
@@ -40,16 +41,11 @@ type builder struct {
 	edges     pairSet
 	handles   []view.Handle
 
-	// arena backs the instantiated candidate views: the interner may retain
-	// any of them as a class representative, so they are slab-allocated and
-	// released wholesale with the builder instead of one heap object per
-	// template-memo miss.
+	// arena backs the instantiated views of new classes: the interner
+	// retains each as its class representative, so they are slab-allocated
+	// and released wholesale with the builder instead of one heap object per
+	// interner miss.
 	arena view.Arena
-	// scratch probes the interner before any arena allocation: most
-	// template-memo misses are still interner hits (another labeling or
-	// another worker saw the class first), and for those the lookup view
-	// never needs to outlive the absorb call.
-	scratch view.View
 
 	// Single-entry template cache, keyed on the identity of the instance's
 	// label-independent parts.
@@ -59,6 +55,12 @@ type builder struct {
 	tIDs    *int
 	tpl     []*view.Template
 	tEdges  [][2]int
+	// tKeys[v] is the label-free prefix of node v's port key, so a
+	// template-memo miss probes the interner with TemplateKey.AppendKey
+	// into pkBuf: most misses are still interner hits (another labeling or
+	// another worker saw the class first), and those need no view at all.
+	tKeys []view.TemplateKey
+	pkBuf []byte
 	// tMemo[v] maps node v's host-labels key to the interned handle of its
 	// view, so repeat neighborhood labelings of a cached instance skip
 	// instantiation, canonicalization, and interning entirely.
@@ -69,7 +71,7 @@ type builder struct {
 	// parallel driver reads them only after its WaitGroup barrier.
 	nInstances      int64 // labeled instances absorbed
 	nViews          int64 // views instantiated + interned (template-memo misses)
-	nLookupHits     int64 // scratch-probe interner hits (no arena copy needed)
+	nLookupHits     int64 // port-key probe interner hits (no view needed)
 	nTmplMemoHits   int64 // views served from the per-node label-key memo
 	nTemplatesBuilt int64 // template cache rebuilds (instance identity changed)
 	nDecided        int64 // view classes this builder interned and decided
@@ -123,6 +125,13 @@ func (b *builder) absorb(l core.Labeled) {
 		for v := range b.tMemo {
 			b.tMemo[v] = make(map[string]view.Handle)
 		}
+		if cap(b.tKeys) < n {
+			b.tKeys = make([]view.TemplateKey, n)
+		}
+		b.tKeys = b.tKeys[:n]
+		for v, t := range b.tpl {
+			b.tKeys[v].Reset(t)
+		}
 	}
 
 	handles := b.handles[:0]
@@ -141,18 +150,20 @@ func (b *builder) absorb(l core.Labeled) {
 			continue
 		}
 		b.nViews++
-		// Probe with the scratch view first: on a hit (the common case) no
-		// durable view is needed at all. Only a genuinely new class — or a
-		// race where another worker interns it between Lookup and Intern,
-		// which Intern resolves — pays for an arena-backed copy the interner
+		// Probe with the port key first: on a hit (the common case) no view
+		// is needed at all. Only a genuinely new class — or a race where
+		// another worker interns it between LookupKey and InternKey, which
+		// InternKey resolves — pays for an arena-backed view the interner
 		// may retain as representative.
-		mu := t.InstantiateInto(&b.scratch, l.Labels)
-		h, ok := b.in.Lookup(mu)
+		pk := b.tKeys[v].AppendKey(b.pkBuf[:0], l.Labels)
+		b.pkBuf = pk
+		h, ok := b.in.LookupKey(pk)
+		var mu *view.View
 		if ok {
 			b.nLookupHits++
 		} else {
 			mu = t.InstantiateIn(&b.arena, l.Labels)
-			h = b.in.Intern(mu)
+			h = b.in.InternKey(pk, mu)
 		}
 		b.tMemo[v][string(kb)] = h
 		handles = append(handles, h)

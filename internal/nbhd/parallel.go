@@ -118,9 +118,9 @@ func harvestBuildMetrics(sc obs.Scope, parts []*builder, in *view.Interner) {
 	sc.Counter("nbhd.views.extracted").Add(views)
 	sc.Counter("nbhd.views.template_memo_hits").Add(tmplHits)
 	sc.Counter("nbhd.templates.built").Add(templates)
-	// Scratch-probe Lookup hits count as intern hits: every extracted view
-	// still consults the interner exactly once (Lookup on a hit, Intern on a
-	// miss), the probe path just avoids the arena copy.
+	// LookupKey hits count as intern hits: every extracted view consults
+	// the interner exactly once (LookupKey on a hit, InternKey on a miss);
+	// the probe path just avoids instantiating a view.
 	hits, misses := in.Stats()
 	sc.Counter("nbhd.intern.hits").Add(int64(hits) + lookupHits)
 	sc.Counter("nbhd.intern.misses").Add(int64(misses))

@@ -44,12 +44,12 @@ func (t *Template) InstantiateIn(a *Arena, labels []string) *View {
 }
 
 // InstantiateInto refills dst with the view for one labeling of the host
-// graph, reusing dst's label-slice capacity and resetting the cached
-// canonical key. It exists for the decide-and-discard sweeps (strong
-// soundness search), where the view never outlives the decoder call: the
-// result is dst itself, valid only until the next InstantiateInto on the
-// same dst, and must not be retained, interned, or published to another
-// goroutine. dst must be a scratch view owned by the caller.
+// graph, reusing dst's label-slice capacity and resetting the cached keys.
+// It exists for the decide-and-discard sweeps (strong soundness search),
+// where the view never outlives the decoder call: the result is dst
+// itself, valid only until the next InstantiateInto on the same dst, and
+// must not be retained, interned, or published to another goroutine. dst
+// must be a scratch view owned by the caller.
 func (t *Template) InstantiateInto(dst *View, labels []string) *View {
 	n := len(t.hosts)
 	ls := dst.Labels
@@ -68,5 +68,6 @@ func (t *Template) InstantiateInto(dst *View, labels []string) *View {
 	dst.Labels = ls
 	dst.NBound = t.nBound
 	dst.cachedBin = nil
+	dst.cachedPort = nil
 	return dst
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"hidinglcp/internal/mem"
 )
@@ -18,13 +19,18 @@ type keyScratch struct {
 	armStart, armNbr []int
 	armPorts         [][2]int
 	arms             [][3]int
-	classNodes       []int   // center + color-grouped rest; classes subslice it
-	classes          [][]int // class headers over classNodes
-	tmp              []int   // idOrder duplicate detection
-	order, pos       []int   // serialization ordering and its inverse
+	classNodes       []int    // center + color-grouped rest; classes subslice it
+	classes          [][]int  // class headers over classNodes
+	tmp              []int    // idOrder duplicate detection
+	order, pos       []int    // serialization ordering and its inverse
+	arcs             [][2]int // one node's (port, neighbor) arcs, port key
 }
 
 var keyScratchPool mem.Pool[keyScratch]
+
+// binKeysComputed counts BinKey cache misses, so tests can bound how often
+// callers pay for the canonical ordering.
+var binKeysComputed atomic.Uint64
 
 // BinKey returns the canonical key of the view: two views have the same
 // key iff they are equal as views (same radius, same N bound, and
@@ -51,7 +57,7 @@ func (v *View) BinKey() []byte {
 }
 
 // Equal reports whether two views are equal as views, by comparing their
-// cached canonical keys.
+// cached identity keys (PortKey).
 func (v *View) Equal(w *View) bool {
 	if v == w {
 		return true
@@ -59,10 +65,11 @@ func (v *View) Equal(w *View) bool {
 	if v.N() != w.N() || v.Radius != w.Radius || v.NBound != w.NBound {
 		return false
 	}
-	return string(v.BinKey()) == string(w.BinKey())
+	return string(v.PortKey()) == string(w.PortKey())
 }
 
 func (v *View) computeBinKey() []byte {
+	binKeysComputed.Add(1)
 	sc := keyScratchPool.Get()
 	defer keyScratchPool.Put(sc)
 	if v.idOrderInto(sc) {

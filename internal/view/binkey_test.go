@@ -122,12 +122,10 @@ func (pc *partitionChecker) add(mu *view.View) {
 
 func (pc *partitionChecker) classes() int { return len(pc.byBin) }
 
-// TestBinKeyPartitionConnectedGraphs sweeps every connected graph on up to
-// 4 nodes under every 2-letter labeling, with sequential identifiers and
-// anonymously, at radii 1 and 2, and checks that BinKey and bruteKey
-// partition the views identically.
-func TestBinKeyPartitionConnectedGraphs(t *testing.T) {
-	pc := newPartitionChecker(t)
+// connectedCorpus yields the views of every connected graph on up to 4
+// nodes under every 2-letter labeling, with sequential identifiers and
+// anonymously, at radii 1 and 2.
+func connectedCorpus(yield func(*view.View)) {
 	alphabet := []string{"a", "b"}
 	for n := 2; n <= 4; n++ {
 		graph.EnumConnectedGraphs(n, func(g *graph.Graph) bool {
@@ -141,8 +139,8 @@ func TestBinKeyPartitionConnectedGraphs(t *testing.T) {
 				}
 				for r := 1; r <= 2; r++ {
 					for v := 0; v < n; v++ {
-						pc.add(view.MustExtract(gg, pt, ids, labels, n, v, r))
-						pc.add(view.MustExtract(gg, pt, nil, labels, n, v, r))
+						yield(view.MustExtract(gg, pt, ids, labels, n, v, r))
+						yield(view.MustExtract(gg, pt, nil, labels, n, v, r))
 					}
 				}
 				return true
@@ -150,21 +148,17 @@ func TestBinKeyPartitionConnectedGraphs(t *testing.T) {
 			return true
 		})
 	}
-	if pc.classes() < 50 {
-		t.Fatalf("suspiciously few classes: %d", pc.classes())
-	}
 }
 
-// TestBinKeyPartitionPortsAndDuplicateIDs varies the parts the connected
-// sweep keeps fixed: every port assignment of C4, duplicated and zero-mixed
-// identifier assignments, and two NBound values.
-func TestBinKeyPartitionPortsAndDuplicateIDs(t *testing.T) {
-	pc := newPartitionChecker(t)
+// portsAndIDsCorpus yields views that vary the parts connectedCorpus keeps
+// fixed: every port assignment of C4, duplicated and zero-mixed identifier
+// assignments, and two NBound values.
+func portsAndIDsCorpus(yield func(*view.View)) {
 	g := graph.MustCycle(4)
 	labels := []string{"x", "y", "x", "z"}
 	graph.EnumPorts(g, func(pt *graph.Ports) bool {
 		for v := 0; v < g.N(); v++ {
-			pc.add(view.MustExtract(g, pt, nil, labels, g.N(), v, 1))
+			yield(view.MustExtract(g, pt, nil, labels, g.N(), v, 1))
 		}
 		return true
 	})
@@ -179,11 +173,28 @@ func TestBinKeyPartitionPortsAndDuplicateIDs(t *testing.T) {
 		for nb := 4; nb <= 5; nb++ {
 			for r := 1; r <= 2; r++ {
 				for v := 0; v < g.N(); v++ {
-					pc.add(view.MustExtract(g, pt, ids, labels, nb, v, r))
+					yield(view.MustExtract(g, pt, ids, labels, nb, v, r))
 				}
 			}
 		}
 	}
+}
+
+// TestBinKeyPartitionConnectedGraphs checks that BinKey and bruteKey
+// partition the connected corpus identically.
+func TestBinKeyPartitionConnectedGraphs(t *testing.T) {
+	pc := newPartitionChecker(t)
+	connectedCorpus(pc.add)
+	if pc.classes() < 50 {
+		t.Fatalf("suspiciously few classes: %d", pc.classes())
+	}
+}
+
+// TestBinKeyPartitionPortsAndDuplicateIDs checks the same on the port and
+// identifier corpus.
+func TestBinKeyPartitionPortsAndDuplicateIDs(t *testing.T) {
+	pc := newPartitionChecker(t)
+	portsAndIDsCorpus(pc.add)
 }
 
 // TestBinKeyCanonicalUnderRelabeling checks canonicity directly: the same

@@ -27,12 +27,18 @@ type internStripe struct {
 	m  map[string]Handle
 }
 
-// Interner deduplicates views by binary canonical key and maps each
-// distinct view class to a dense Handle. It is safe for concurrent use: the
-// key→handle table is striped by key hash (read-mostly RWMutex fast path),
-// and handle assignment is serialized behind one small critical section.
-// The first view interned for a class is retained as the class
-// representative.
+// Interner deduplicates views by identity key (PortKey) and maps each
+// distinct view class to a dense Handle. The port key is a complete
+// invariant of a view, so interning needs no refinement: BinKey, the
+// refinement-based order key, is left to the callers that order output by
+// class. Callers that already hold a view's port key — nbhd keys views
+// from their templates without instantiating them — probe and intern with
+// LookupKey and InternKey.
+//
+// An Interner is safe for concurrent use: the key→handle table is striped
+// by key hash (read-mostly RWMutex fast path), and handle assignment is
+// serialized behind one small critical section. The first view interned
+// for a class is retained as the class representative.
 type Interner struct {
 	stripes [internStripes]internStripe
 
@@ -62,8 +68,12 @@ func NewInterner() *Interner {
 
 // Intern returns the handle of mu's view class, assigning the next dense
 // handle (and retaining mu as representative) on first sight.
-func (it *Interner) Intern(mu *View) Handle {
-	k := mu.BinKey()
+func (it *Interner) Intern(mu *View) Handle { return it.InternKey(mu.PortKey(), mu) }
+
+// InternKey is Intern for a caller that already holds k = mu.PortKey(),
+// for instance from TemplateKey.AppendKey. k is copied; the caller may
+// reuse its storage.
+func (it *Interner) InternKey(k []byte, mu *View) Handle {
 	s := &it.stripes[internHash(k)&(internStripes-1)]
 	s.mu.RLock()
 	h, ok := s.m[string(k)] // compiler avoids the []byte→string copy for map reads
@@ -99,8 +109,11 @@ func (it *Interner) Intern(mu *View) Handle {
 }
 
 // Lookup returns the handle of mu's view class without interning it.
-func (it *Interner) Lookup(mu *View) (Handle, bool) {
-	k := mu.BinKey()
+func (it *Interner) Lookup(mu *View) (Handle, bool) { return it.LookupKey(mu.PortKey()) }
+
+// LookupKey returns the handle of the view class whose port key is k,
+// without interning it.
+func (it *Interner) LookupKey(k []byte) (Handle, bool) {
 	s := &it.stripes[internHash(k)&(internStripes-1)]
 	s.mu.RLock()
 	h, ok := s.m[string(k)]

@@ -43,11 +43,12 @@ type View struct {
 	// part of every node's input (Section 2.2).
 	NBound int
 
-	// cacheMu guards the lazily computed canonical-key cache below. Views
-	// are immutable after extraction, so the cache is write-once; clones
-	// start with an empty cache and never share it with the original.
-	cacheMu   sync.Mutex
-	cachedBin []byte
+	// cacheMu guards the lazily computed key caches below. Views are
+	// immutable after extraction, so the caches are write-once; clones
+	// start with empty caches and never share them with the original.
+	cacheMu    sync.Mutex
+	cachedBin  []byte
+	cachedPort []byte
 }
 
 // Center is the local index of the view's center node; always 0.
