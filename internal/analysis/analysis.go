@@ -42,8 +42,8 @@
 //
 // One guards the memory-reuse discipline (internal/mem):
 //
-//   - poolescape: a buffer borrowed from a recycler (mem.Pool, mem.FreeList,
-//     sync.Pool) must not escape its borrow scope — returned or stored into
+//   - poolescape: a buffer borrowed from a recycler (mem.Pool, sync.Pool)
+//     must not escape its borrow scope — returned or stored into
 //     caller-visible state — without a defensive copy.
 //
 // And one enforces the cancellation-plumbing discipline (internal/engine):

@@ -7,10 +7,10 @@ import (
 )
 
 // PoolEscapeAnalyzer reports pooled scratch objects escaping their borrow
-// scope. A value obtained from a recycler — mem.Pool.Get, mem.FreeList.Get,
-// or sync.Pool.Get — is only borrowed: after the matching Put, the object is
-// handed to the next caller, so any reference that outlives the function
-// turns into silent shared-mutable state. The analyzer taints Get results
+// scope. A value obtained from a recycler — mem.Pool.Get or sync.Pool.Get —
+// is only borrowed: after the matching Put, the object is handed to the
+// next caller, so any reference that outlives the function turns into
+// silent shared-mutable state. The analyzer taints Get results
 // (and everything reachable from them through assignments, slicing, field
 // and index selection, and growing appends) within each function and flags:
 //
@@ -46,7 +46,7 @@ func runPoolEscape(pass *Pass) error {
 }
 
 // isPoolImplGet reports whether fn is the Get method of a recycler type
-// itself (mem.Pool, mem.FreeList): the implementation legitimately returns
+// itself (mem.Pool): the implementation legitimately returns
 // the recycled object — that hand-off is the API.
 func isPoolImplGet(info *types.Info, fn *ast.FuncDecl) bool {
 	if fn.Recv == nil || fn.Name.Name != "Get" || len(fn.Recv.List) != 1 {
@@ -56,7 +56,7 @@ func isPoolImplGet(info *types.Info, fn *ast.FuncDecl) bool {
 }
 
 // isRecyclerType reports whether t (possibly behind a pointer) is a named
-// type Pool or FreeList from a package named mem or sync.
+// type Pool from a package named mem or sync.
 func isRecyclerType(t types.Type) bool {
 	if t == nil {
 		return false
@@ -73,7 +73,7 @@ func isRecyclerType(t types.Type) bool {
 		return false
 	}
 	name, pkg := obj.Name(), obj.Pkg().Name()
-	return (name == "Pool" || name == "FreeList") && (pkg == "mem" || pkg == "sync")
+	return name == "Pool" && (pkg == "mem" || pkg == "sync")
 }
 
 // poolEscape is the per-function taint state.
@@ -251,8 +251,8 @@ func (pe *poolEscape) taintedExpr(expr ast.Expr) bool {
 	return false
 }
 
-// isRecyclerGet reports whether call is a zero-argument Get on a mem.Pool,
-// mem.FreeList, or sync.Pool value.
+// isRecyclerGet reports whether call is a zero-argument Get on a mem.Pool
+// or sync.Pool value.
 func isRecyclerGet(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Get" || len(call.Args) != 0 {

@@ -66,7 +66,7 @@ func panicLeak(mu *view.View) {
 
 // redactedFlow is the sanctioned shape: lengths and digests only.
 func redactedFlow(sp *obs.Span, sc obs.Scope, mu *view.View, l core.Labeled) {
-	sp.SetAttr("labels", obs.RedactStrings(mu.Labels))
+	sp.SetAttr("labels", obs.RedactString(mu.Labels[0]))
 	sp.SetAttr("key", mu.KeyDigest())
 	sc.Event("sizes", fmt.Sprintf("n=%d first=%d", len(l.Labels), len(mu.Labels[0])))
 }

@@ -48,8 +48,5 @@ func (p *Progress) SetExtra(f func() string) {}
 // RedactString mirrors the real redactor; a certflow sanitizer.
 func RedactString(s string) string { return "" }
 
-// RedactStrings mirrors the real labeling redactor; a certflow sanitizer.
-func RedactStrings(ss []string) string { return "" }
-
 // Now mirrors the real package's sanctioned clock read.
 func Now() int64 { return 0 }

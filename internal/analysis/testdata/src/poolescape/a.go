@@ -1,7 +1,7 @@
-// Fixture for the poolescape analyzer: pooled objects (mem.Pool,
-// mem.FreeList, sync.Pool) escaping via return, package-level store, or
-// caller-visible store are seeded violations; defensive copies, stores into
-// the pooled object itself, and plain local use stay clean.
+// Fixture for the poolescape analyzer: pooled objects (mem.Pool, sync.Pool)
+// escaping via return, package-level store, or caller-visible store are
+// seeded violations; defensive copies, stores into the pooled object itself,
+// and plain local use stay clean.
 package poolescape
 
 import (
@@ -16,8 +16,6 @@ type scratch struct {
 
 var pool mem.Pool[scratch]
 
-var fl mem.FreeList[scratch]
-
 // badReturn returns the pooled object itself.
 func badReturn() *scratch {
 	sc := pool.Get()
@@ -30,13 +28,6 @@ func badReturnField() []byte {
 	sc := pool.Get()
 	defer pool.Put(sc)
 	return sc.buf // want "pooled buffer sc is returned"
-}
-
-// badFreeList leaks from the single-owner free list the same way.
-func badFreeList() *scratch {
-	sc := fl.Get()
-	defer fl.Put(sc)
-	return sc // want "pooled buffer sc is returned"
 }
 
 var leaked []byte

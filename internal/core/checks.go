@@ -63,22 +63,6 @@ func CheckStrongSoundness(d Decoder, lang Language, l Labeled) error {
 	return nil
 }
 
-// CheckSoundness verifies plain soundness on one labeled no-instance: at
-// least one node must reject. (Vacuous on yes-instances.)
-func CheckSoundness(d Decoder, lang Language, l Labeled) error {
-	if lang.Contains(l.G) {
-		return nil
-	}
-	all, err := AllAccept(d, l)
-	if err != nil {
-		return err
-	}
-	if all {
-		return fmt.Errorf("soundness violated: all nodes accept on no-instance %v", l.G)
-	}
-	return nil
-}
-
 // ExhaustiveStrongSoundness checks strong soundness of d against every
 // labeling of inst over the given label alphabet. It returns the first
 // violation found, or nil. The search space is |alphabet|^n; callers keep n

@@ -182,23 +182,20 @@ func TestStrongSoundnessViolationError(t *testing.T) {
 	}
 }
 
-func TestCheckSoundness(t *testing.T) {
+func TestAllAccept(t *testing.T) {
 	d := revealDecoder()
-	lang := TwoCol()
-	inst := NewInstance(graph.MustCycle(3))
-	l := MustNewLabeled(inst, []string{"0", "1", "0"})
-	if err := CheckSoundness(d, lang, l); err != nil {
-		t.Errorf("soundness check failed: %v", err)
+	inst := NewInstance(graph.Path(3))
+	all, err := AllAccept(d, MustNewLabeled(inst, []string{"0", "1", "0"}))
+	if err != nil || !all {
+		t.Errorf("proper 2-coloring: AllAccept = %v, %v; want true, nil", all, err)
 	}
-	// Yes-instances are vacuously fine even if all nodes accept.
-	inst2 := NewInstance(graph.Path(2))
-	l2 := MustNewLabeled(inst2, []string{"0", "1"})
-	if err := CheckSoundness(d, lang, l2); err != nil {
-		t.Errorf("soundness on yes-instance: %v", err)
+	all, err = AllAccept(d, MustNewLabeled(inst, []string{"0", "0", "1"}))
+	if err != nil || all {
+		t.Errorf("improper coloring: AllAccept = %v, %v; want false, nil", all, err)
 	}
-	always := NewDecoder(1, true, func(*view.View) bool { return true })
-	if err := CheckSoundness(always, lang, l); err == nil {
-		t.Error("always-accept decoder passed soundness on a triangle")
+	bad := NewDecoder(-1, true, func(*view.View) bool { return true })
+	if _, err := AllAccept(bad, MustNewLabeled(inst, []string{"0", "1", "0"})); err == nil {
+		t.Error("negative-radius decoder: AllAccept returned no error")
 	}
 }
 
@@ -306,26 +303,6 @@ func TestTwoColName(t *testing.T) {
 	}
 	if !lang.Contains(graph.Grid(3, 3)) || lang.Contains(graph.Petersen()) {
 		t.Error("TwoCol membership wrong")
-	}
-}
-
-func TestPromiseClassify(t *testing.T) {
-	p := Promise{Lang: TwoCol(), InClass: func(g *graph.Graph) bool { return g.IsCycleGraph() && g.N()%2 == 0 }}
-	tests := []struct {
-		name string
-		g    *graph.Graph
-		want int
-	}{
-		{"even cycle yes", graph.MustCycle(6), 1},
-		{"odd cycle no", graph.MustCycle(5), -1},
-		{"bipartite non-cycle dont-care", graph.Path(4), 0},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := p.Classify(tt.g); got != tt.want {
-				t.Errorf("Classify = %d, want %d", got, tt.want)
-			}
-		})
 	}
 }
 

@@ -27,6 +27,42 @@ func resolveShardsWorkers(shards, workers int) (int, int) {
 	return shards, workers
 }
 
+// minViolation keeps the least-ranked violation a worker pool reports.
+// Workers read bound without locking, to prune work that could only rank
+// higher; record runs only when a violation is found, so it simply locks.
+type minViolation struct {
+	mu   sync.Mutex
+	rank atomic.Uint64 // math.MaxUint64 until the first record
+	err  error
+}
+
+func newMinViolation() *minViolation {
+	m := &minViolation{}
+	m.rank.Store(math.MaxUint64)
+	return m
+}
+
+// bound returns the least rank recorded so far, or math.MaxUint64.
+func (m *minViolation) bound() uint64 { return m.rank.Load() }
+
+// record keeps err if r ranks below every violation recorded so far.
+func (m *minViolation) record(r uint64, err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if r < m.rank.Load() {
+		m.rank.Store(r)
+		m.err = err
+	}
+}
+
+// min returns the least-ranked violation and its rank; err is nil when
+// none was recorded.
+func (m *minViolation) min() (uint64, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.rank.Load(), m.err
+}
+
 // ExhaustiveStrongSoundnessParallelCtx is ExhaustiveStrongSoundness with
 // the |alphabet|^n labeling space split into labeling-prefix shards
 // (graph.EnumLabelingsShard) searched by a worker pool. It returns exactly
@@ -75,25 +111,7 @@ func ExhaustiveStrongSoundnessParallelCtx(ctx context.Context, sc obs.Scope, d D
 	shardsDone := sc.Counter("core.sweep.shards.done")
 	pruned := sc.Counter("core.sweep.shards.pruned")
 
-	var best atomic.Uint64
-	best.Store(math.MaxUint64)
-	var mu sync.Mutex
-	found := map[uint64]error{}
-	record := func(r uint64, err error) {
-		for {
-			cur := best.Load()
-			if r >= cur {
-				return
-			}
-			if best.CompareAndSwap(cur, r) {
-				mu.Lock()
-				found[r] = err
-				mu.Unlock()
-				return
-			}
-		}
-	}
-
+	viol := newMinViolation()
 	sweeps := make([]*labelSweep, workers)
 	// Cancellation checkpoints sit at shard claims and at every labeling:
 	// the watcher arms the flag when ctx fires, workers abandon their
@@ -111,7 +129,7 @@ func ExhaustiveStrongSoundnessParallelCtx(ctx context.Context, sc obs.Scope, d D
 			// per-goroutine, so workers never contend on them.
 			sweep, serr := newLabelSweep(d, lang, inst, alphabet)
 			if serr != nil {
-				record(0, fmt.Errorf("extracting views: %w", serr))
+				viol.record(0, fmt.Errorf("extracting views: %w", serr))
 				return
 			}
 			sweeps[w] = sweep
@@ -128,12 +146,12 @@ func ExhaustiveStrongSoundnessParallelCtx(ctx context.Context, sc obs.Scope, d D
 					// Ranks increase within a shard, so everything past the
 					// best violation is prunable: any violation there would
 					// rank higher and lose to the recorded one anyway.
-					if r >= best.Load() {
+					if r >= viol.bound() {
 						pruned.Inc()
 						return false
 					}
 					if err := sweep.check(idx); err != nil {
-						record(r, err)
+						viol.record(r, err)
 						return false
 					}
 					return true
@@ -156,8 +174,8 @@ func ExhaustiveStrongSoundnessParallelCtx(ctx context.Context, sc obs.Scope, d D
 		return err
 	}
 
-	r := best.Load()
-	if r == math.MaxUint64 {
+	r, err := viol.min()
+	if err == nil {
 		if sc.EventsEnabled() {
 			sc.EmitSpanEvent(span, obs.LevelInfo, "core.sweep.done",
 				obs.Fi("violations", 0))
@@ -172,9 +190,7 @@ func ExhaustiveStrongSoundnessParallelCtx(ctx context.Context, sc obs.Scope, d D
 		sc.EmitSpanEvent(span, obs.LevelWarn, "core.sweep.violation",
 			obs.F("rank", fmt.Sprint(r)))
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	return found[r]
+	return err
 }
 
 // FuzzStrongSoundnessParallel is FuzzStrongSoundness with the trials
@@ -210,11 +226,7 @@ func FuzzStrongSoundnessParallel(sc obs.Scope, d Decoder, lang Language, inst In
 		drawn[t] = labels
 	}
 
-	bestT := int64(trials)
-	var best atomic.Int64
-	best.Store(bestT)
-	var mu sync.Mutex
-	found := map[int64]error{}
+	viol := newMinViolation()
 	sweeps := make([]*labelSweep, workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -230,7 +242,7 @@ func FuzzStrongSoundnessParallel(sc obs.Scope, d Decoder, lang Language, inst In
 				t := next.Add(1) - 1
 				// Trials are claimed in increasing order, so once t passes
 				// the best violation every later claim does too.
-				if t >= int64(trials) || t >= best.Load() {
+				if t >= int64(trials) || uint64(t) >= viol.bound() {
 					return
 				}
 				var err error
@@ -242,18 +254,7 @@ func FuzzStrongSoundnessParallel(sc obs.Scope, d Decoder, lang Language, inst In
 				trialsChecked.Inc()
 				sc.Prog().Add(1)
 				if err != nil {
-					for {
-						cur := best.Load()
-						if t >= cur {
-							break
-						}
-						if best.CompareAndSwap(cur, t) {
-							mu.Lock()
-							found[t] = err
-							mu.Unlock()
-							break
-						}
-					}
+					viol.record(uint64(t), err)
 					return
 				}
 			}
@@ -264,12 +265,10 @@ func FuzzStrongSoundnessParallel(sc obs.Scope, d Decoder, lang Language, inst In
 		sweep.harvest(sc)
 	}
 
-	t := best.Load()
-	if t == int64(trials) {
+	t, err := viol.min()
+	if err == nil {
 		return nil
 	}
 	sc.Counter("core.fuzz.violations").Inc()
-	mu.Lock()
-	defer mu.Unlock()
-	return fmt.Errorf("trial %d: %w", t, found[t])
+	return fmt.Errorf("trial %d: %w", t, err)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -135,6 +136,26 @@ func TestFuzzParallelMatchesSequential(t *testing.T) {
 // TestCheckAnonymousEdgeCases drives CheckAnonymous through its boundary
 // inputs: no assignments at all, a single-node graph, and bounds too small
 // for the identifiers.
+// TestMinViolationKeepsLeastRank drives the recorder sequentially, so the
+// already-beaten paths run on every pass instead of only when workers race.
+func TestMinViolationKeepsLeastRank(t *testing.T) {
+	m := newMinViolation()
+	if r, err := m.min(); err != nil || r != math.MaxUint64 || m.bound() != math.MaxUint64 {
+		t.Fatalf("empty recorder: min = %d, %v; bound = %d", r, err, m.bound())
+	}
+	e5, e9, e5b, e2 := errors.New("5"), errors.New("9"), errors.New("5b"), errors.New("2")
+	m.record(5, e5)
+	m.record(9, e9)  // larger rank after a smaller one: beaten
+	m.record(5, e5b) // equal rank: the first report stays
+	if r, err := m.min(); r != 5 || err != e5 || m.bound() != 5 {
+		t.Errorf("after 5, 9, 5: min = %d, %v; bound = %d; want 5, 5, 5", r, err, m.bound())
+	}
+	m.record(2, e2)
+	if r, err := m.min(); r != 2 || err != e2 || m.bound() != 2 {
+		t.Errorf("after 2: min = %d, %v; bound = %d; want 2, 2, 2", r, err, m.bound())
+	}
+}
+
 func TestCheckAnonymousEdgeCases(t *testing.T) {
 	single := MustNewLabeled(NewAnonymousInstance(graph.New(1)), []string{"0"})
 	path := MustNewLabeled(NewAnonymousInstance(graph.Path(3)), []string{"0", "1", "0"})

@@ -62,13 +62,3 @@ func TestCountVerdicts(t *testing.T) {
 		t.Errorf("CountVerdicts = %d,%d,%d, want 2,2,1", a, r, c)
 	}
 }
-
-func TestVerdictsFromBools(t *testing.T) {
-	vs := VerdictsFromBools([]bool{true, false, true})
-	want := []Verdict{VerdictAccept, VerdictReject, VerdictAccept}
-	for i := range want {
-		if vs[i] != want[i] {
-			t.Errorf("index %d: %v, want %v", i, vs[i], want[i])
-		}
-	}
-}

@@ -71,7 +71,7 @@ func TestTrivialNotHiding(t *testing.T) {
 	if ng.Size() == 0 {
 		t.Fatal("no accepting views")
 	}
-	if ng.Hiding() {
+	if ng.OddCycle() != nil {
 		t.Fatal("trivial scheme reported hiding on exhaustive slice")
 	}
 	ex, err := nbhd.NewExtractor(ng, 2, true)

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -83,25 +82,6 @@ func ParseGraph6(s string) (*Graph, error) {
 	return g, nil
 }
 
-// DOT renders g in Graphviz DOT format with optional per-node labels
-// (pass nil for bare node names).
-func (g *Graph) DOT(name string, labels []string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "graph %s {\n", name)
-	for v := 0; v < g.n; v++ {
-		if labels != nil && v < len(labels) && labels[v] != "" {
-			fmt.Fprintf(&b, "  n%d [label=%q];\n", v, labels[v])
-		} else {
-			fmt.Fprintf(&b, "  n%d;\n", v)
-		}
-	}
-	for _, e := range g.Edges() {
-		fmt.Fprintf(&b, "  n%d -- n%d;\n", e[0], e[1])
-	}
-	b.WriteString("}\n")
-	return b.String()
-}
-
 // CanonicalGraph6 returns the lexicographically smallest graph6 encoding
 // over all node permutations — a canonical form usable for isomorphism
 // dedup of the small graphs this library enumerates. Factorial cost; keep
@@ -146,14 +126,4 @@ func (g *Graph) CanonicalGraph6() (string, error) {
 		return "", err
 	}
 	return best, nil
-}
-
-// SortedDegrees returns the degree sequence in ascending order.
-func (g *Graph) SortedDegrees() []int {
-	out := make([]int, g.n)
-	for v := 0; v < g.n; v++ {
-		out[v] = g.Degree(v)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -79,16 +78,6 @@ func TestGraph6RoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestDOT(t *testing.T) {
-	g := Path(3)
-	out := g.DOT("demo", []string{"a", "", "c"})
-	for _, want := range []string{"graph demo {", `n0 [label="a"]`, "n1;", `n2 [label="c"]`, "n0 -- n1;", "n1 -- n2;"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("DOT missing %q in:\n%s", want, out)
-		}
-	}
-}
-
 func TestCanonicalGraph6(t *testing.T) {
 	// Isomorphic graphs share a canonical form; non-isomorphic ones don't.
 	a := Path(4)
@@ -136,21 +125,5 @@ func TestCanonicalGraph6Property(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSortedDegrees(t *testing.T) {
-	// Spider(2,1): center (deg 2), a 2-edge leg (middle deg 2, tip deg 1),
-	// and a 1-edge leg (tip deg 1).
-	g := Spider([]int{2, 1})
-	got := g.SortedDegrees()
-	want := []int{1, 1, 2, 2}
-	if len(got) != len(want) {
-		t.Fatalf("SortedDegrees = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SortedDegrees = %v, want %v", got, want)
-		}
 	}
 }

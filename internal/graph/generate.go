@@ -310,15 +310,6 @@ func Petersen() *Graph {
 	return g
 }
 
-// Theta returns the theta graph: two nodes joined by three internally
-// disjoint paths of the given edge lengths (each >= 2). It is the smallest
-// interesting watermelon with more than two paths... and, with suitable
-// parities, the canonical graph with two independent cycles used in
-// Section 5.2.
-func Theta(a, b, c int) (*Graph, error) {
-	return Watermelon([]int{a, b, c})
-}
-
 // DisjointUnion returns the disjoint union of gs, with nodes renumbered in
 // order.
 func DisjointUnion(gs ...*Graph) *Graph {
@@ -357,103 +348,4 @@ func mustAddEdge(g *Graph, u, v int) {
 	if err := g.AddEdge(u, v); err != nil {
 		panic(fmt.Sprintf("graph: internal generator bug: %v", err))
 	}
-}
-
-// Hypercube returns the d-dimensional hypercube graph Q_d on 2^d nodes
-// (bipartite, d-regular; large hypercubes are further witnesses for the
-// graph class of Theorem 1.2).
-func Hypercube(d int) *Graph {
-	n := 1 << d
-	g := New(n)
-	for v := 0; v < n; v++ {
-		for b := 0; b < d; b++ {
-			w := v ^ (1 << b)
-			if v < w {
-				mustAddEdge(g, v, w)
-			}
-		}
-	}
-	return g
-}
-
-// Ladder returns the ladder graph P_k x K_2 on 2k nodes: two parallel
-// paths with rungs. Bipartite with minimum degree 2 (for k >= 2) and not a
-// cycle for k >= 3.
-func Ladder(k int) *Graph {
-	g := New(2 * k)
-	for i := 0; i < k; i++ {
-		mustAddEdge(g, 2*i, 2*i+1) // rung
-		if i+1 < k {
-			mustAddEdge(g, 2*i, 2*(i+1))
-			mustAddEdge(g, 2*i+1, 2*(i+1)+1)
-		}
-	}
-	return g
-}
-
-// MobiusLadder returns the Möbius ladder M_k: the cycle C_{2k} plus the k
-// antipodal chords. Each chord closes a (k+1)-cycle, so M_k is bipartite
-// iff k is odd (M_3 = K_{3,3}); even k gives a 3-regular non-bipartite
-// no-instance family. Requires k >= 3.
-func MobiusLadder(k int) (*Graph, error) {
-	if k < 3 {
-		return nil, fmt.Errorf("Möbius ladder needs k >= 3, got %d", k)
-	}
-	g, err := Cycle(2 * k)
-	if err != nil {
-		return nil, err
-	}
-	for v := 0; v < k; v++ {
-		mustAddEdge(g, v, v+k)
-	}
-	return g, nil
-}
-
-// Wheel returns the wheel graph W_n: a hub (node 0) joined to every node
-// of an outer (n-1)-cycle. Requires n >= 4.
-func Wheel(n int) (*Graph, error) {
-	if n < 4 {
-		return nil, fmt.Errorf("wheel needs at least 4 nodes, got %d", n)
-	}
-	g := New(n)
-	for v := 1; v < n; v++ {
-		mustAddEdge(g, 0, v)
-		next := v + 1
-		if next == n {
-			next = 1
-		}
-		mustAddEdge(g, v, next)
-	}
-	return g, nil
-}
-
-// Caterpillar returns a caterpillar tree: a spine path on spine nodes with
-// legs[i] pendant leaves attached to spine node i. Caterpillars are trees
-// with minimum degree 1 — instances of the DegreeOne scheme's class H1.
-func Caterpillar(spine int, legs []int) (*Graph, error) {
-	if spine < 1 {
-		return nil, fmt.Errorf("caterpillar needs a non-empty spine")
-	}
-	if len(legs) > spine {
-		return nil, fmt.Errorf("more leg specs (%d) than spine nodes (%d)", len(legs), spine)
-	}
-	n := spine
-	for _, l := range legs {
-		if l < 0 {
-			return nil, fmt.Errorf("negative leg count")
-		}
-		n += l
-	}
-	g := New(n)
-	for i := 0; i+1 < spine; i++ {
-		mustAddEdge(g, i, i+1)
-	}
-	next := spine
-	for i, l := range legs {
-		for j := 0; j < l; j++ {
-			mustAddEdge(g, i, next)
-			next++
-		}
-	}
-	return g, nil
 }

@@ -86,7 +86,7 @@ func TestPortRoundTrip(t *testing.T) {
 	g := Grid(3, 3)
 	pt := DefaultPorts(g)
 	for v := 0; v < g.N(); v++ {
-		for p := 1; p <= pt.DegreeOf(v); p++ {
+		for p := 1; p <= g.Degree(v); p++ {
 			w, err := pt.NeighborAt(v, p)
 			if err != nil {
 				t.Fatal(err)
@@ -99,24 +99,6 @@ func TestPortRoundTrip(t *testing.T) {
 				t.Errorf("port round trip at (%d,%d): got %d", v, p, back)
 			}
 		}
-	}
-}
-
-func TestRestrict(t *testing.T) {
-	g := MustCycle(5)
-	pt := DefaultPorts(g)
-	sub, orig := g.InducedSubgraph([]int{0, 1, 2})
-	pv := pt.Restrict(sub, orig)
-	// Edge 0-1 in sub corresponds to 0-1 in g.
-	p, ok := pv.Port(0, 1)
-	if !ok {
-		t.Fatal("restricted port missing for surviving edge")
-	}
-	if want := pt.MustPort(0, 1); p != want {
-		t.Errorf("restricted port = %d, want %d", p, want)
-	}
-	if _, ok := pv.Port(0, 2); ok {
-		t.Error("restricted port present for non-edge")
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 
 var shardCounts = []int{1, 2, 3, 7, 16}
 
-// checkPartition verifies the sharding contract shared by every sharder:
-// the concatenation of shard outputs is a permutation of the sequential
+// checkPartition verifies the sharding contract of shard.go: the
+// concatenation of shard outputs is a permutation of the sequential
 // enumeration, each shard is a subsequence of the sequential order, and
 // shards are pairwise disjoint. Items are compared by their fingerprint,
 // which must be unique across the space.
@@ -72,64 +72,9 @@ func TestEnumLabelingsShardPartition(t *testing.T) {
 	}
 }
 
-func TestEnumIDsShardPartition(t *testing.T) {
-	cases := []struct{ n, maxID int }{
-		{0, 3}, {1, 1}, {2, 4}, {3, 4}, {3, 5}, {4, 4},
-	}
-	for _, c := range cases {
-		t.Run(fmt.Sprintf("n%d_max%d", c.n, c.maxID), func(t *testing.T) {
-			var sequential []string
-			EnumIDs(c.n, c.maxID, func(ids IDs) bool {
-				sequential = append(sequential, fmt.Sprint(ids))
-				return true
-			})
-			for _, k := range shardCounts {
-				shardsOut := make([][]string, k)
-				for s := 0; s < k; s++ {
-					EnumIDsShard(c.n, c.maxID, s, k, func(ids IDs) bool {
-						shardsOut[s] = append(shardsOut[s], fmt.Sprint(ids))
-						return true
-					})
-				}
-				checkPartition(t, k, sequential, shardsOut)
-			}
-		})
-	}
-}
-
-func TestEnumGraphsShardPartition(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 3, 4} {
-		t.Run(fmt.Sprintf("n%d", n), func(t *testing.T) {
-			var sequential []string
-			EnumGraphs(n, func(g *Graph) bool {
-				g6, err := g.Graph6()
-				if err != nil {
-					t.Fatal(err)
-				}
-				sequential = append(sequential, g6)
-				return true
-			})
-			for _, k := range shardCounts {
-				shardsOut := make([][]string, k)
-				for s := 0; s < k; s++ {
-					EnumGraphsShard(n, s, k, func(g *Graph) bool {
-						g6, err := g.Graph6()
-						if err != nil {
-							t.Fatal(err)
-						}
-						shardsOut[s] = append(shardsOut[s], g6)
-						return true
-					})
-				}
-				checkPartition(t, k, sequential, shardsOut)
-			}
-		})
-	}
-}
-
 func TestEnumShardEarlyStop(t *testing.T) {
 	// Returning false must stop the shard immediately, like the sequential
-	// enumerators.
+	// enumerator.
 	count := 0
 	EnumLabelingsShard(4, 3, 1, 3, func([]int) bool {
 		count++
@@ -137,22 +82,6 @@ func TestEnumShardEarlyStop(t *testing.T) {
 	})
 	if count != 5 {
 		t.Errorf("labeling shard yielded %d after stop, want 5", count)
-	}
-	count = 0
-	EnumIDsShard(3, 4, 0, 2, func(IDs) bool {
-		count++
-		return false
-	})
-	if count != 1 {
-		t.Errorf("ID shard yielded %d after stop, want 1", count)
-	}
-	count = 0
-	EnumGraphsShard(4, 2, 3, func(*Graph) bool {
-		count++
-		return false
-	})
-	if count != 1 {
-		t.Errorf("graph shard yielded %d after stop, want 1", count)
 	}
 }
 
@@ -167,8 +96,6 @@ func TestEnumShardDegenerate(t *testing.T) {
 	}
 	for _, bad := range []int{-1, 5} {
 		EnumLabelingsShard(3, 2, bad, 5, func([]int) bool { t.Errorf("shard %d of 5 yielded", bad); return false })
-		EnumIDsShard(2, 3, bad, 5, func(IDs) bool { t.Errorf("ID shard %d of 5 yielded", bad); return false })
-		EnumGraphsShard(3, bad, 5, func(*Graph) bool { t.Errorf("graph shard %d of 5 yielded", bad); return false })
 	}
 	// shard index other than 0 with shards <= 1 also produces nothing.
 	EnumLabelingsShard(3, 2, 1, 1, func([]int) bool { t.Error("shard 1 of 1 yielded"); return false })

@@ -95,76 +95,3 @@ func allLabelingsShard(alphabet []string, insts []core.Instance, shard, shards i
 		return nil
 	}
 }
-
-// AllPortsAllLabelings extends AllLabelings by also ranging over every port
-// assignment of every instance graph, sharded on the labeling dimension:
-// every shard ranges over every port assignment but enumerates only its own
-// labeling-prefix slice under each. Exponential in both; micro universes
-// only.
-func AllPortsAllLabelings(alphabet []string, insts ...core.Instance) ShardedEnumerator {
-	return shardFunc(func(i, k int) Enumerator {
-		return func(yield func(core.Labeled) bool) error {
-			for _, inst := range insts {
-				stopped := false
-				graph.EnumPorts(inst.G, func(pt *graph.Ports) bool {
-					withPorts := inst.WithPorts(pt)
-					inner := allLabelingsShard(alphabet, []core.Instance{withPorts}, i, k)
-					if err := inner(func(l core.Labeled) bool {
-						if !yield(l) {
-							stopped = true
-							return false
-						}
-						return true
-					}); err != nil {
-						panic(fmt.Sprintf("nbhd.AllPortsAllLabelings: %v", err))
-					}
-					return !stopped
-				})
-				if stopped {
-					return nil
-				}
-			}
-			return nil
-		}
-	})
-}
-
-// Chain concatenates enumerators: the sequential order chains the
-// children's sequential orders, and shard i chains the children's i-th
-// shards, preserving disjointness and relative order.
-func Chain(ses ...ShardedEnumerator) ShardedEnumerator {
-	return shardFunc(func(i, k int) Enumerator {
-		return func(yield func(core.Labeled) bool) error {
-			for _, se := range ses {
-				stopped := false
-				if err := se.Shards(k)[i](func(l core.Labeled) bool {
-					if !yield(l) {
-						stopped = true
-						return false
-					}
-					return true
-				}); err != nil {
-					return err
-				}
-				if stopped {
-					return nil
-				}
-			}
-			return nil
-		}
-	})
-}
-
-// ClassInstances builds anonymous instances (default ports, no IDs) from a
-// list of graphs, filtered by pred (pass nil for no filter). It is a
-// convenience for assembling promise-class families.
-func ClassInstances(gs []*graph.Graph, pred func(*graph.Graph) bool) []core.Instance {
-	var out []core.Instance
-	for _, g := range gs {
-		if pred != nil && !pred(g) {
-			continue
-		}
-		out = append(out, core.NewAnonymousInstance(g))
-	}
-	return out
-}

@@ -68,7 +68,7 @@ func TestBuildRevealOnEdge(t *testing.T) {
 	if ng.LoopCount() != 0 {
 		t.Errorf("LoopCount = %d, want 0", ng.LoopCount())
 	}
-	if ng.Hiding() {
+	if ng.OddCycle() != nil {
 		t.Error("revealing decoder reported hiding on exhaustive P2 slice")
 	}
 	if !ng.IsKColorable(2) {
@@ -100,7 +100,7 @@ func TestBuildAlwaysAcceptSelfLoop(t *testing.T) {
 	if ng.IsKColorable(99) {
 		t.Error("looped view should never be colorable")
 	}
-	if !ng.Hiding() {
+	if ng.OddCycle() == nil {
 		t.Error("self-loop should imply hiding")
 	}
 }
@@ -122,7 +122,7 @@ func TestBuildProverLabeled(t *testing.T) {
 	if ng.Size() == 0 {
 		t.Fatal("no accepting views from prover-labeled yes-instances")
 	}
-	if ng.Hiding() {
+	if ng.OddCycle() != nil {
 		t.Error("revealing decoder's prover slice should be bipartite")
 	}
 }
@@ -140,64 +140,6 @@ func TestFromLabeledValidates(t *testing.T) {
 	_, err := buildSeq(alwaysAccept(), FromLabeled(bad))
 	if err == nil {
 		t.Error("invalid instance accepted")
-	}
-}
-
-func TestChain(t *testing.T) {
-	instA := core.NewAnonymousInstance(graph.Path(2))
-	instB := core.NewAnonymousInstance(graph.Path(3))
-	enum := Chain(
-		AllLabelings([]string{"0", "1"}, instA),
-		AllLabelings([]string{"0", "1"}, instB),
-	)
-	count := 0
-	if err := enum.Sequential()(func(core.Labeled) bool {
-		count++
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if count != 4+8 {
-		t.Errorf("chained enumeration yielded %d, want 12", count)
-	}
-	// Early stop propagates.
-	count = 0
-	if err := enum.Sequential()(func(core.Labeled) bool {
-		count++
-		return count < 5
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if count != 5 {
-		t.Errorf("early stop after %d, want 5", count)
-	}
-}
-
-func TestAllPortsAllLabelings(t *testing.T) {
-	inst := core.NewAnonymousInstance(graph.Path(3))
-	enum := AllPortsAllLabelings([]string{"a"}, inst)
-	count := 0
-	if err := enum.Sequential()(func(core.Labeled) bool {
-		count++
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// 2 port assignments x 1 labeling.
-	if count != 2 {
-		t.Errorf("yielded %d, want 2", count)
-	}
-}
-
-func TestClassInstances(t *testing.T) {
-	gs := []*graph.Graph{graph.Path(2), graph.MustCycle(3), graph.Path(4)}
-	insts := ClassInstances(gs, (*graph.Graph).IsBipartite)
-	if len(insts) != 2 {
-		t.Errorf("filtered to %d instances, want 2", len(insts))
-	}
-	all := ClassInstances(gs, nil)
-	if len(all) != 3 {
-		t.Errorf("unfiltered = %d, want 3", len(all))
 	}
 }
 

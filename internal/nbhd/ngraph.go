@@ -102,10 +102,3 @@ func (ng *NGraph) OddCycle() []int {
 	}
 	return ng.g.OddCycle()
 }
-
-// Hiding applies the Lemma 3.2 characterization for 2-coloring on this
-// slice: the decoder is hiding if the slice contains an odd cycle. A nil
-// cycle only implies "not hiding" when the enumerator was exhaustive.
-func (ng *NGraph) Hiding() bool {
-	return ng.OddCycle() != nil
-}

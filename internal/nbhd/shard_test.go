@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/decoders"
@@ -122,11 +123,6 @@ func TestShardedEnumeratorPartition(t *testing.T) {
 		{"FromLabeled/watermelon", FromLabeled(melonFam...)},
 		{"ProverLabeled/degree-one", ProverLabeled(decoders.DegreeOne(), degFam...)},
 		{"AllLabelings", AllLabelings([]string{"0", "1", "x"}, smallInstances()...)},
-		{"AllPortsAllLabelings", AllPortsAllLabelings([]string{"0", "1"}, smallInstances()[:2]...)},
-		{"ShardedChain", Chain(
-			FromLabeled(evenFam[:6]...),
-			AllLabelings([]string{"a", "b"}, core.NewAnonymousInstance(graph.Path(4))),
-		)},
 	}
 	for _, f := range families {
 		t.Run(f.name, func(t *testing.T) { checkShardPartition(t, f.se) })
@@ -251,6 +247,54 @@ func TestForEachShardEarlyStopAndErrors(t *testing.T) {
 	bad := core.Labeled{Instance: core.Instance{G: graph.Path(2)}, Labels: []string{"a", "b"}}
 	if err := forEachShard(nil, obs.Scope{}, FromLabeled(bad), 3, 2, func(int, core.Labeled) bool { return true }); err == nil {
 		t.Error("invalid instance not reported")
+	}
+}
+
+// shardDoneSink runs done once, on the first shard-completion event.
+type shardDoneSink struct {
+	once sync.Once
+	done func()
+}
+
+func (s *shardDoneSink) EmitLogEvent(ev obs.LogEvent) {
+	if ev.Name == "nbhd.shard.done" {
+		s.once.Do(s.done)
+	}
+}
+
+// TestForEachShardStopSeenMidShard pins the per-instance stop checkpoint
+// without relying on a race. Two workers each claim one shard. The first
+// worker into fn blocks until the other worker's fn has returned false and
+// its shard has finished (which happens after the stop flag is set), then
+// returns true. Its next instance must see the stop flag and never reach fn.
+func TestForEachShardStopSeenMidShard(t *testing.T) {
+	se := AllLabelings([]string{"0", "1"}, core.NewAnonymousInstance(graph.Path(3)))
+	stopped := make(chan struct{})
+	sc := obs.Scope{}.WithEvents(&shardDoneSink{done: func() { close(stopped) }}, "test")
+	first := make(chan int, 1)
+	var mu sync.Mutex
+	calls := map[int]int{}
+	err := forEachShard(nil, sc, se, 2, 2, func(w int, _ core.Labeled) bool {
+		mu.Lock()
+		calls[w]++
+		mu.Unlock()
+		select {
+		case first <- w:
+			select {
+			case <-stopped:
+			case <-time.After(10 * time.Second):
+				t.Error("the other worker never finished its shard")
+			}
+			return true
+		default:
+			return false
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) != 2 || calls[0] != 1 || calls[1] != 1 {
+		t.Errorf("fn calls per worker = %v, want one each: the blocked worker must stop at its next instance", calls)
 	}
 }
 

@@ -57,7 +57,6 @@ type EventLog struct {
 	window     int64 // unix second of the current rate-limit window
 	inWindow   int
 	rateDrops  int64 // drops inside the current window
-	dropped    int64 // total rate-limit drops
 	writeErr   error // first file write/rotation error, surfaced by Close
 	subs       map[int]chan obs.LogEvent
 	nextSub    int
@@ -123,7 +122,6 @@ func (l *EventLog) EmitLogEvent(ev obs.LogEvent) {
 	l.inWindow++
 	if l.inWindow > l.cfg.MaxPerSec {
 		l.rateDrops++
-		l.dropped++
 		return
 	}
 	l.append(ev)
@@ -222,16 +220,6 @@ func (l *EventLog) Subscribe(buf int) (<-chan obs.LogEvent, func()) {
 			close(ch)
 		}
 	}
-}
-
-// Dropped returns the total events discarded by the rate limiter.
-func (l *EventLog) Dropped() int64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
 }
 
 // Close flushes and closes the file generation and reports the first

@@ -98,9 +98,6 @@ func TestEventLogRateLimit(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		l.EmitLogEvent(ev(100, "burst"))
 	}
-	if got := l.Dropped(); got != 7 {
-		t.Errorf("dropped = %d, want 7", got)
-	}
 	// Rolling the window admits again and emits the summary event.
 	l.EmitLogEvent(ev(101, "after"))
 	tail := l.Tail(0)

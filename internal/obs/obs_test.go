@@ -21,7 +21,6 @@ func TestZeroScopeIsNoOp(t *testing.T) {
 		t.Errorf("nil counter value = %d", got)
 	}
 	sc.Gauge("g").Set(7)
-	sc.Gauge("g").Add(1)
 	if got := sc.Gauge("g").Value(); got != 0 {
 		t.Errorf("nil gauge value = %d", got)
 	}
@@ -60,9 +59,8 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	}
 	g := reg.Gauge("depth")
 	g.Set(10)
-	g.Add(-3)
-	if got := g.Value(); got != 7 {
-		t.Errorf("gauge = %d, want 7", got)
+	if got := g.Value(); got != 10 {
+		t.Errorf("gauge = %d, want 10", got)
 	}
 	h := reg.Histogram("lat")
 	for _, v := range []int64{0, 1, 2, 3, 1000, -5} {
@@ -83,7 +81,7 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	if s := byName["runs"]; s.Kind != KindCounter || s.Value != 3 {
 		t.Errorf("runs snapshot = %+v", s)
 	}
-	if s := byName["depth"]; s.Kind != KindGauge || s.Value != 7 {
+	if s := byName["depth"]; s.Kind != KindGauge || s.Value != 10 {
 		t.Errorf("depth snapshot = %+v", s)
 	}
 	s := byName["lat"]
@@ -120,7 +118,7 @@ func TestScopeLabel(t *testing.T) {
 	if got := named.Label("build"); got != "scheme=even-cycle: build" {
 		t.Errorf("named label = %q", got)
 	}
-	if sc.Name() != "" || named.Name() != "scheme=even-cycle" {
+	if got := sc.Label("build"); got != "build" {
 		t.Error("Named must not mutate the receiver")
 	}
 	// Named and WithTracer are value-copies sharing one registry.

@@ -21,26 +21,3 @@ func TestRedactStringHidesBytes(t *testing.T) {
 		t.Error("RedactString digests distinct inputs identically (32-bit collision on adjacent strings is a red flag)")
 	}
 }
-
-func TestRedactBytesMatchesString(t *testing.T) {
-	if RedactBytes([]byte("abc")) != RedactString("abc") {
-		t.Error("RedactBytes and RedactString disagree on identical content")
-	}
-}
-
-func TestRedactStringsDistinguishesBoundaries(t *testing.T) {
-	a := RedactStrings([]string{"ab", "c"})
-	b := RedactStrings([]string{"a", "bc"})
-	if a == b {
-		t.Errorf("RedactStrings conflates different label boundaries: %q", a)
-	}
-	got := RedactStrings([]string{"red", "blue", "red"})
-	for _, leak := range []string{"red", "blue"} {
-		if strings.Contains(got, leak) {
-			t.Fatalf("RedactStrings leaked label %q: %q", leak, got)
-		}
-	}
-	if !strings.Contains(got, "n=3") || !strings.Contains(got, "bytes=10") {
-		t.Errorf("RedactStrings summary missing counts: %q", got)
-	}
-}

@@ -189,5 +189,4 @@ func TestHidingRedactionResidue(t *testing.T) {
 	if !strings.Contains(red, "len=17") {
 		t.Errorf("redaction %q lost the length residue", red)
 	}
-	assertHidden(t, "obs.RedactStrings", obs.RedactStrings(markerAlphabet()))
 }

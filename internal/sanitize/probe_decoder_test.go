@@ -25,7 +25,7 @@ func TestSanitizeDecoder(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			san, res := sanitize.WithScheme(core.Scheme{Name: tc.name, Decoder: tc.d}, sanitize.Config{})
 
-			ex := view.NewExtractor()
+			ex := new(view.Extractor)
 			labels := make([]string, tc.g.N())
 			for i := range labels {
 				labels[i] = []string{"0", "1"}[i%2]

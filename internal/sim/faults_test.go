@@ -342,7 +342,7 @@ func TestRunSchemeFaultsGraceful(t *testing.T) {
 	if fr.Verdicts[3] != core.VerdictCrashed {
 		t.Errorf("crashed node verdict = %v", fr.Verdicts[3])
 	}
-	if fr.AllAccept() {
+	if core.AllAcceptVerdicts(fr.Verdicts) {
 		t.Error("AllAccept with a crashed node")
 	}
 	accepted, rejected, crashed := fr.Counts()
@@ -378,7 +378,7 @@ func TestRunSchemeFaultsCorruptionIsCaught(t *testing.T) {
 				if len(fr.Faults.Corrupted) != 1 || fr.Faults.Corrupted[0] != corrupt {
 					t.Fatalf("report corruption set %v, want [%d]", fr.Faults.Corrupted, corrupt)
 				}
-				if !fr.AllAccept() {
+				if !core.AllAcceptVerdicts(fr.Verdicts) {
 					rejectedSomewhere = true
 					break
 				}

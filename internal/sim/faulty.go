@@ -337,9 +337,6 @@ func (fr *FaultReport) Counts() (accepted, rejected, crashed int) {
 	return core.CountVerdicts(fr.Verdicts)
 }
 
-// AllAccept reports whether every node ran to completion and accepted.
-func (fr *FaultReport) AllAccept() bool { return core.AllAcceptVerdicts(fr.Verdicts) }
-
 // RunSchemeFaultsCtx certifies the instance with the scheme's prover,
 // runs the fault-injected gather, and evaluates the decoder at every
 // surviving node. Injected faults never produce an error: crashed nodes get

@@ -123,7 +123,7 @@ func TestSchemeMatrixZeroPlan(t *testing.T) {
 					t.Errorf("node %d: verdict %v vs bool %v", v, fr.Verdicts[v], ok)
 				}
 			}
-			if !fr.AllAccept() {
+			if !core.AllAcceptVerdicts(fr.Verdicts) {
 				t.Error("fault runtime does not report all-accept")
 			}
 		})

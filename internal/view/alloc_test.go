@@ -70,7 +70,8 @@ func TestTemplateKeyLookupAllocs(t *testing.T) {
 	var tk view.TemplateKey
 	tk.Reset(tpl)
 	in := view.NewInterner()
-	in.Intern(tpl.Instantiate(labels))
+	mu := tpl.Instantiate(labels)
+	in.InternKey(mu.PortKey(), mu)
 	buf := tk.AppendKey(nil, labels) // size the buffer once
 	if n := testing.AllocsPerRun(100, func() {
 		buf = tk.AppendKey(buf[:0], labels)
@@ -90,7 +91,7 @@ func TestInternerLookupAllocs(t *testing.T) {
 	labels := make([]string, g.N())
 	mu := view.MustExtract(g, pt, nil, labels, g.N(), 0, 2)
 	in := view.NewInterner()
-	in.Intern(mu)
+	in.InternKey(mu.PortKey(), mu)
 	if n := testing.AllocsPerRun(100, func() {
 		if _, ok := in.Lookup(mu); !ok {
 			t.Fatal("interned view not found")

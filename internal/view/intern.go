@@ -31,9 +31,9 @@ type internStripe struct {
 // distinct view class to a dense Handle. The port key is a complete
 // invariant of a view, so interning needs no refinement: BinKey, the
 // refinement-based order key, is left to the callers that order output by
-// class. Callers that already hold a view's port key — nbhd keys views
-// from their templates without instantiating them — probe and intern with
-// LookupKey and InternKey.
+// class. Callers hold a view's port key before they intern it — nbhd keys
+// views from their templates without instantiating them — and probe and
+// intern with LookupKey and InternKey.
 //
 // An Interner is safe for concurrent use: the key→handle table is striped
 // by key hash (read-mostly RWMutex fast path), and handle assignment is
@@ -50,7 +50,7 @@ type Interner struct {
 	n      atomic.Uint32
 	chunks [internMaxChunks]atomic.Pointer[internChunk]
 
-	// hits counts Intern calls that found an existing class; misses counts
+	// hits counts InternKey calls that found an existing class; misses counts
 	// first-sight interns. Kept as plain relaxed atomics so instrumented and
 	// uninstrumented builds take the same code path.
 	hits   atomic.Uint64
@@ -66,13 +66,11 @@ func NewInterner() *Interner {
 	return it
 }
 
-// Intern returns the handle of mu's view class, assigning the next dense
-// handle (and retaining mu as representative) on first sight.
-func (it *Interner) Intern(mu *View) Handle { return it.InternKey(mu.PortKey(), mu) }
-
-// InternKey is Intern for a caller that already holds k = mu.PortKey(),
-// for instance from TemplateKey.AppendKey. k is copied; the caller may
-// reuse its storage.
+// InternKey returns the handle of mu's view class, whose port key
+// k = mu.PortKey() the caller already holds (for instance from
+// TemplateKey.AppendKey). On first sight it assigns the next dense handle
+// and retains mu as representative. k is copied; the caller may reuse its
+// storage.
 func (it *Interner) InternKey(k []byte, mu *View) Handle {
 	s := &it.stripes[internHash(k)&(internStripes-1)]
 	s.mu.RLock()
@@ -124,15 +122,16 @@ func (it *Interner) LookupKey(k []byte) (Handle, bool) {
 // Len returns the number of distinct view classes interned so far.
 func (it *Interner) Len() int { return int(it.n.Load()) }
 
-// Stats reports how many Intern calls found an existing class (hits) and
-// how many assigned a new handle (misses). Safe to call concurrently with
-// Intern; the two values are read independently and may be one call apart.
+// Stats reports how many InternKey calls found an existing class (hits)
+// and how many assigned a new handle (misses). Safe to call concurrently
+// with InternKey; the two values are read independently and may be one
+// call apart.
 func (it *Interner) Stats() (hits, misses uint64) {
 	return it.hits.Load(), it.misses.Load()
 }
 
 // ViewOf returns the representative view of handle h. h must have been
-// returned by Intern on this interner.
+// returned by InternKey on this interner.
 func (it *Interner) ViewOf(h Handle) *View {
 	if uint32(h) >= it.n.Load() {
 		panic("view.Interner: handle out of range")

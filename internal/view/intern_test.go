@@ -64,7 +64,7 @@ func TestExtractorReuseDoesNotCorrupt(t *testing.T) {
 			}
 		}
 	}
-	ex := view.NewExtractor()
+	ex := new(view.Extractor)
 	// Two passes in opposite orders: scratch state from any job must not
 	// leak into any other.
 	for pass := 0; pass < 2; pass++ {
@@ -96,7 +96,7 @@ func TestExtractorReuseDoesNotCorrupt(t *testing.T) {
 func TestTemplateInstantiateIsolation(t *testing.T) {
 	g := graph.MustCycle(5)
 	pt := graph.DefaultPorts(g)
-	ex := view.NewExtractor()
+	ex := new(view.Extractor)
 	tpl, err := ex.Template(g, pt, nil, g.N(), 0, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestInternerConcurrent(t *testing.T) {
 				// Vary the order per worker; clone so each goroutine interns
 				// a distinct *View of the same class.
 				mu := pool[(i*7+w*13)%len(pool)].Clone()
-				got[string(mu.BinKey())] = in.Intern(mu)
+				got[string(mu.BinKey())] = in.InternKey(mu.PortKey(), mu)
 			}
 			results[w] = got
 		}()
