@@ -14,12 +14,20 @@ import (
 	"hidinglcp/internal/obs"
 )
 
-func resolveShardsWorkers(shards, workers int) (int, int) {
+// shardsPerWorker oversubscribes workers so that the work-stealing drivers
+// can smooth uneven shard costs: a worker finishing a cheap shard steals the
+// next unclaimed one.
+const shardsPerWorker = 4
+
+// ResolveShardsWorkers applies the defaults every sharded driver shares:
+// workers <= 0 selects GOMAXPROCS, shards <= 0 selects 4 per worker, and
+// workers never exceed shards.
+func ResolveShardsWorkers(shards, workers int) (int, int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if shards <= 0 {
-		shards = 4 * workers
+		shards = shardsPerWorker * workers
 	}
 	if workers > shards {
 		workers = shards
@@ -92,7 +100,7 @@ func (m *minViolation) min() (uint64, error) {
 // its partial answer would depend on scheduling.
 func ExhaustiveStrongSoundnessParallelCtx(ctx context.Context, sc obs.Scope, d Decoder, lang Language, inst Instance, alphabet []string, shards, workers int) error {
 	n := inst.G.N()
-	shards, workers = resolveShardsWorkers(shards, workers)
+	shards, workers = ResolveShardsWorkers(shards, workers)
 	if workers == 1 || shards == 1 || !graph.LabelingRankFits(n, len(alphabet)) {
 		sc.Counter("core.sweep.sequential_fallback").Inc()
 		return exhaustiveSequential(ctx, sc, d, lang, inst, alphabet)

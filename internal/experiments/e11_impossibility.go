@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"hidinglcp/internal/core"
@@ -26,7 +28,15 @@ import (
 //     δ >= 2): over a large sampled decoder space, every decoder that is
 //     strongly sound on the no-instance corpus has a 2-colorable accepting
 //     neighborhood slice — i.e. none is hiding, consistent with the
-//     impossibility theorem.
+//     impossibility theorem. The sampled masks range over the first 30 of
+//     the slice's 39 classes in BinKey order (the sampler caps the mask
+//     width at 30 bits), so the other 9 classes are always rejected.
+//
+// Both properties are decided by Lemma 3.2 on class bitmasks: strong
+// soundness fails iff every class of some odd cycle of a no-instance is
+// accepted, and hiding holds iff the accepted yes-instance classes span an
+// odd cycle. e11_oracle_test.go checks both against core.CheckStrongSoundness
+// and an odd cycle of nbhd.Build's V(D,n).
 func E11Impossibility(ctx context.Context) Table {
 	t := Table{
 		ID:      "E11",
@@ -45,23 +55,29 @@ func E11Impossibility(ctx context.Context) Table {
 	no2 = append(no2, portInstances(graph.MustCycle(5), bound2)...)
 	no2 = append(no2, portInstances(graph.MustCycle(7), bound2)...)
 
-	space2, err := newDecoderSpace(append(append([]core.Instance{}, yes2...), no2...))
+	space2, err := newDecoderSpace(yes2, no2)
 	if err != nil {
 		t.Err = err
 		return t
 	}
-	k := len(space2.classes)
+	k := space2.classes
 	if k > 16 {
 		t.Err = fmt.Errorf("Δ=2 class count %d too large for exhaustive enumeration", k)
 		return t
 	}
+	bad2, err := oddCycleMasks(ctx, space2.no)
+	if err != nil {
+		t.Err = err
+		return t
+	}
+	bad2 = minimalMasks(bad2)
 	sound2, hiding2 := 0, 0
-	for mask := 0; mask < 1<<k; mask++ {
-		if !space2.stronglySound(mask, no2) {
+	for mask := uint64(0); mask < 1<<k; mask++ {
+		if violates(mask, bad2) {
 			continue
 		}
 		sound2++
-		if space2.hiding(mask, yes2) {
+		if space2.hiding(mask) {
 			hiding2++
 		}
 	}
@@ -81,8 +97,10 @@ func E11Impossibility(ctx context.Context) Table {
 	// Δ<=3 universe on up to 6 nodes. Strong soundness quantifies over ALL
 	// graphs; a small corpus produces false "sound" positives, so the
 	// experiment reports the candidate counts under both corpora to exhibit
-	// the convergence toward the theorem's impossibility.
-	no3small := []core.Instance{
+	// the convergence toward the theorem's impossibility. The same pass
+	// collects the bipartite δ>=2 graphs of that universe, the yes-corpus
+	// of the completeness row.
+	no3 := []core.Instance{
 		anon(graph.MustCycle(3)),
 		anon(graph.MustCycle(5)),
 		anon(graph.MustCycle(7)),
@@ -91,66 +109,63 @@ func E11Impossibility(ctx context.Context) Table {
 		anon(graph.Complete(4)),
 		anon(graph.Petersen()),
 	}
-	no3 := append([]core.Instance{}, no3small...)
+	small := len(no3)
+	var yesCorpus []core.Instance
 	for n := 3; n <= 6; n++ {
 		graph.EnumConnectedGraphs(n, func(g *graph.Graph) bool {
-			if g.MaxDegree() <= 3 && !g.IsBipartite() {
+			switch {
+			case g.MaxDegree() > 3:
+			case !g.IsBipartite():
 				no3 = append(no3, anon(g.Clone()))
+			case g.MinDegree() >= 2:
+				yesCorpus = append(yesCorpus, anon(g.Clone()))
 			}
 			return true
 		})
 	}
-	space3, err := newDecoderSpace(append(append([]core.Instance{}, yes3...), no3...))
+	space3, err := newDecoderSpace(yes3, no3)
 	if err != nil {
 		t.Err = err
 		return t
 	}
-	m := len(space3.classes)
-	if m > 60 {
-		t.Err = fmt.Errorf("Δ=3 class count %d exceeds the bitmask budget", m)
-		return t
-	}
+	m := space3.classes
 	// A decoder violates strong soundness iff the class set of SOME odd
 	// cycle of a no-instance is fully accepted; precompute those class
 	// masks once and each decoder check becomes a few bit operations.
-	badSmall, err := space3.oddCycleMasks(ctx, no3small)
+	badSmall, err := oddCycleMasks(ctx, space3.no[:small])
 	if err != nil {
 		t.Err = err
 		return t
 	}
-	badRest, err := space3.oddCycleMasks(ctx, no3[len(no3small):])
+	badRest, err := oddCycleMasks(ctx, space3.no[small:])
 	if err != nil {
 		t.Err = err
 		return t
 	}
-	badFull := append(append([]uint64{}, badSmall...), badRest...)
-	badFull = minimalMasks(badFull)
+	badFull := minimalMasks(append(append([]uint64{}, badSmall...), badRest...))
 	badSmall = minimalMasks(badSmall)
 
 	rng := rand.New(rand.NewSource(1234))
 	const samples = 30000
 	soundSmall, hidingSmall := 0, 0
 	soundFull, hidingFull := 0, 0
-	seen := make(map[int]bool, samples)
+	seen := make(map[uint64]bool, samples)
+	width := min(m, 30)
 	for i := 0; i < samples; i++ {
-		bits := m
-		if bits > 30 {
-			bits = 30
-		}
-		mask := rng.Intn(1 << uint(bits))
+		mask := uint64(rng.Intn(1 << uint(width)))
 		if seen[mask] {
 			continue
 		}
 		seen[mask] = true
-		if violates(uint64(mask), badSmall) {
+		if violates(mask, badSmall) {
 			continue
 		}
 		soundSmall++
-		isHiding := space3.hiding(mask, yes3)
+		isHiding := space3.hiding(mask)
 		if isHiding {
 			hidingSmall++
 		}
-		if violates(uint64(mask), badFull) {
+		if violates(mask, badFull) {
 			continue
 		}
 		soundFull++
@@ -166,30 +181,12 @@ func E11Impossibility(ctx context.Context) Table {
 	// With COMPLETENESS over the bipartite Δ<=3 universe, a 0-bit decoder
 	// must accept every class occurring in a yes-instance; if those classes
 	// already cover some odd cycle of a no-instance, no complete and
-	// strongly sound 0-bit decoder exists at all.
-	var yesCorpus []core.Instance
-	for n := 3; n <= 6; n++ {
-		graph.EnumConnectedGraphs(n, func(g *graph.Graph) bool {
-			if g.MaxDegree() <= 3 && g.IsBipartite() && g.MinDegree() >= 2 {
-				yesCorpus = append(yesCorpus, anon(g.Clone()))
-			}
-			return true
-		})
-	}
-	var yesMask uint64
-	for _, inst := range yesCorpus {
-		vec, err := space3.classVector(inst)
-		if err != nil {
-			t.Err = err
-			return t
-		}
-		for _, c := range vec {
-			if c >= 64 {
-				t.Err = fmt.Errorf("class index %d exceeds bitmask budget", c)
-				return t
-			}
-			yesMask |= 1 << uint(c)
-		}
+	// strongly sound 0-bit decoder exists at all. Classes outside the
+	// decoder space lie in no odd-cycle mask, so only the known ones count.
+	yesMask, err := space3.knownClasses(yesCorpus)
+	if err != nil {
+		t.Err = err
+		return t
 	}
 	completeAndSound := 1
 	if violates(yesMask, badFull) {
@@ -221,164 +218,133 @@ func portInstances(g *graph.Graph, nBound int) []core.Instance {
 	return out
 }
 
-// decoderSpace indexes the anonymized single-label view classes of a corpus
-// so that 0-bit decoders become bitmasks over classes.
+// decoderSpace indexes the single-label view classes of a yes- and a
+// no-corpus so that 0-bit decoders become bitmasks over classes: a mask
+// accepts class c iff bit c is set, and classes are numbered in BinKey
+// order. Views are interned by port key, as nbhd.Build does; BinKey is
+// computed once per class, only to fix the bit order.
 type decoderSpace struct {
-	classes []string
-	index   map[string]int
-	// classVec caches, per instance graph key+ports pointer, the class of
-	// every node. Keyed by position in the corpus at construction.
-	vecs map[*graph.Ports][]int
-	// bip caches, per port assignment, the bipartiteness of the subgraph
-	// induced by each accepting node bitmask (corpus instances have at
-	// most 64 nodes; the verdict depends only on the accepting set).
-	bip map[*graph.Ports]map[uint64]bool
-	// adjCache holds, per yes corpus (keyed by its first instance), the
-	// class-level adjacency and loop masks hiding() walks. The class count
-	// is bounded by the bitmask budget (<= 60), so adjacency fits fixed
-	// [64]uint64 rows and each hiding() call runs an allocation-free
-	// mask-BFS instead of building a graph.Graph per decoder sample.
-	adjCache map[*core.Instance]*classAdj
-}
-
-// classAdj is the class-level slice of a yes corpus: adj[c] is the bitmask
-// of classes sharing an edge with class c in some corpus instance, loops the
-// classes adjacent to themselves.
-type classAdj struct {
+	classes int
+	in      *view.Interner
+	bit     []int // bit[h] is the mask bit of the class with handle h
+	ex      view.Extractor
+	tk      view.TemplateKey
+	key     []byte
+	labels  []string // the single empty label at every node
+	// no holds the class bit of every node of each no-instance.
+	no []classed
+	// adj[c] is the mask of classes sharing an edge with class c in some
+	// yes-instance, loops the classes adjacent to themselves.
 	adj   [64]uint64
 	loops uint64
 }
 
-// classKey returns the class key of a node view: the canonical key of its
-// anonymization. The sorted class order defines the decoder-mask bit
-// semantics.
-func classKey(mu *view.View) string {
-	return string(mu.Anonymize().BinKey())
+// classed is a corpus graph with the mask bit of every node's view class.
+type classed struct {
+	g   *graph.Graph
+	bit []int
 }
 
-func newDecoderSpace(corpus []core.Instance) (*decoderSpace, error) {
-	s := &decoderSpace{
-		index:    map[string]int{},
-		vecs:     map[*graph.Ports][]int{},
-		bip:      map[*graph.Ports]map[uint64]bool{},
-		adjCache: map[*core.Instance]*classAdj{},
-	}
-	// Single pass: collect each instance's per-node class keys once, sort
-	// the class universe, then number the cached vectors under the sorted
-	// index — no second extraction sweep over the corpus. One Extractor
-	// shares its template scratch across the whole corpus.
-	var ex view.Extractor
-	keys := make([][]string, len(corpus))
-	for ci, inst := range corpus {
-		l := core.MustNewLabeled(inst, make([]string, inst.G.N()))
-		views, err := l.ViewsWith(&ex, 1)
-		if err != nil {
-			return nil, err
-		}
-		ks := make([]string, len(views))
-		for v, mu := range views {
-			key := classKey(mu)
-			ks[v] = key
-			if _, ok := s.index[key]; !ok {
-				s.index[key] = 0
-				s.classes = append(s.classes, key)
+func newDecoderSpace(yes, no []core.Instance) (*decoderSpace, error) {
+	s := &decoderSpace{in: view.NewInterner()}
+	corpus := append(append([]core.Instance{}, yes...), no...)
+	cs := make([]classed, len(corpus))
+	for i, inst := range corpus {
+		c := classed{g: inst.G, bit: make([]int, inst.G.N())}
+		for v := range c.bit {
+			h, _, err := s.class(inst, v, true)
+			if err != nil {
+				return nil, err
 			}
+			c.bit[v] = int(h) // renumbered to its mask bit below
 		}
-		keys[ci] = ks
+		cs[i] = c
 	}
-	sort.Strings(s.classes)
-	for i, c := range s.classes {
-		s.index[c] = i
+	s.classes = s.in.Len()
+	if s.classes > 64 {
+		return nil, fmt.Errorf("%d view classes exceed the 64-bit decoder mask", s.classes)
 	}
-	for ci, inst := range corpus {
-		vec := make([]int, len(keys[ci]))
-		for v, k := range keys[ci] {
-			vec[v] = s.index[k]
+	order := make([]int, s.classes)
+	keys := make([][]byte, s.classes)
+	for h := range order {
+		order[h] = h
+		keys[h] = s.in.ViewOf(view.Handle(h)).BinKey()
+	}
+	slices.SortFunc(order, func(a, b int) int { return bytes.Compare(keys[a], keys[b]) })
+	s.bit = make([]int, s.classes)
+	for c, h := range order {
+		s.bit[h] = c
+	}
+	for _, c := range cs {
+		for v, h := range c.bit {
+			c.bit[v] = s.bit[h]
 		}
-		s.vecs[inst.Prt] = vec
+	}
+	s.no = cs[len(yes):]
+	for _, c := range cs[:len(yes)] {
+		for _, e := range c.g.Edges() {
+			a, b := c.bit[e[0]], c.bit[e[1]]
+			if a == b {
+				s.loops |= 1 << uint(a)
+				continue
+			}
+			s.adj[a] |= 1 << uint(b)
+			s.adj[b] |= 1 << uint(a)
+		}
 	}
 	return s, nil
 }
 
-func (s *decoderSpace) classVector(inst core.Instance) ([]int, error) {
-	l := core.MustNewLabeled(inst, make([]string, inst.G.N()))
-	views, err := l.Views(1)
+// class returns the handle of the class of node v's radius-1 view in inst
+// under the single empty label. It keys the view from its template and
+// instantiates it only to intern a new class; without intern, ok reports
+// whether the class is known.
+func (s *decoderSpace) class(inst core.Instance, v int, intern bool) (h view.Handle, ok bool, err error) {
+	t, err := s.ex.Template(inst.G, inst.Prt, nil, inst.NBound, v, 1)
 	if err != nil {
-		return nil, err
+		return 0, false, err
 	}
-	vec := make([]int, len(views))
-	for v, mu := range views {
-		key := classKey(mu)
-		if _, ok := s.index[key]; !ok {
-			s.index[key] = len(s.classes)
-			s.classes = append(s.classes, key)
-		}
-		vec[v] = s.index[key]
+	for len(s.labels) < inst.G.N() {
+		s.labels = append(s.labels, "")
 	}
-	return vec, nil
+	s.tk.Reset(t)
+	s.key = s.tk.AppendKey(s.key[:0], s.labels)
+	if h, ok = s.in.LookupKey(s.key); ok || !intern {
+		return h, ok, nil
+	}
+	return s.in.InternKey(s.key, t.Instantiate(s.labels)), true, nil
 }
 
-// stronglySound reports whether the decoder given by mask keeps the
-// accepting-induced subgraph bipartite on every corpus instance.
-func (s *decoderSpace) stronglySound(mask int, corpus []core.Instance) bool {
-	for _, inst := range corpus {
-		vec := s.vecs[inst.Prt]
-		if len(vec) > 64 {
-			// No bitmask memo; compute directly.
-			var acc []int
-			for v, c := range vec {
-				if mask&(1<<uint(c)) != 0 {
-					acc = append(acc, v)
-				}
+// knownClasses returns the mask of the classes of the space that occur in
+// some instance of insts; classes outside the space are left out.
+func (s *decoderSpace) knownClasses(insts []core.Instance) (uint64, error) {
+	var mask uint64
+	for _, inst := range insts {
+		for v := 0; v < inst.G.N(); v++ {
+			h, ok, err := s.class(inst, v, false)
+			if err != nil {
+				return 0, err
 			}
-			sub, _ := inst.G.InducedSubgraph(acc)
-			if !sub.IsBipartite() {
-				return false
+			if ok {
+				mask |= 1 << uint(s.bit[h])
 			}
-			continue
-		}
-		// Many decoder masks induce the same accepting node set on one
-		// instance; memoize the bipartiteness verdict per that set.
-		var am uint64
-		for v, c := range vec {
-			if mask&(1<<uint(c)) != 0 {
-				am |= 1 << uint(v)
-			}
-		}
-		m := s.bip[inst.Prt]
-		if m == nil {
-			m = make(map[uint64]bool)
-			s.bip[inst.Prt] = m
-		}
-		ok, hit := m[am]
-		if !hit {
-			acc := make([]int, 0, len(vec))
-			for v := range vec {
-				if am&(1<<uint(v)) != 0 {
-					acc = append(acc, v)
-				}
-			}
-			sub, _ := inst.G.InducedSubgraph(acc)
-			ok = sub.IsBipartite()
-			m[am] = ok
-		}
-		if !ok {
-			return false
 		}
 	}
-	return true
+	return mask, nil
 }
 
 // oddCycleMasks enumerates the simple odd cycles of every corpus instance
 // and returns their class bitmasks: a decoder accepting all classes of some
 // mask accepts an odd cycle somewhere and thus violates strong soundness.
-// The per-instance cycle searches are independent and run on the configured
-// worker pool; the merged mask set is sorted, so the result does not depend
-// on scheduling.
-func (s *decoderSpace) oddCycleMasks(ctx context.Context, corpus []core.Instance) ([]uint64, error) {
+// An accepting set induces a non-bipartite subgraph iff it contains every
+// node of some simple odd cycle, so this is the whole strong-soundness
+// check. The per-instance cycle searches are independent and run on the
+// configured worker pool; the merged mask set is sorted, so the result does
+// not depend on scheduling.
+func oddCycleMasks(ctx context.Context, corpus []classed) ([]uint64, error) {
 	perInst := make([][]uint64, len(corpus))
 	if err := parallelEach(ctx, len(corpus), func(i int) {
-		perInst[i] = s.instanceOddCycleMasks(corpus[i])
+		perInst[i] = corpus[i].oddCycleMasks()
 	}); err != nil {
 		return nil, err
 	}
@@ -398,13 +364,11 @@ func (s *decoderSpace) oddCycleMasks(ctx context.Context, corpus []core.Instance
 	return out, nil
 }
 
-// instanceOddCycleMasks runs the anchored odd-cycle DFS on one instance.
-// It only reads the (frozen after construction) class-vector cache, so
-// concurrent calls on distinct instances are safe.
-func (s *decoderSpace) instanceOddCycleMasks(inst core.Instance) []uint64 {
+// oddCycleMasks runs the anchored odd-cycle DFS on one instance. It only
+// reads c, so concurrent calls on distinct instances are safe.
+func (c classed) oddCycleMasks() []uint64 {
 	set := make(map[uint64]bool)
-	vec := s.vecs[inst.Prt]
-	g := inst.G
+	g := c.g
 	n := g.N()
 	inPath := make([]bool, n)
 	var path []int
@@ -414,7 +378,7 @@ func (s *decoderSpace) instanceOddCycleMasks(inst core.Instance) []uint64 {
 			if nb == start && len(path) >= 3 && len(path)%2 == 1 {
 				var mask uint64
 				for _, v := range path {
-					mask |= 1 << uint(vec[v])
+					mask |= 1 << uint(c.bit[v])
 				}
 				set[mask] = true
 				continue
@@ -478,46 +442,18 @@ func violates(mask uint64, bad []uint64) bool {
 }
 
 // hiding reports whether the class-level accepting neighborhood slice over
-// the yes corpus contains an odd cycle (including a self-loop). The corpus
-// adjacency is precomputed once (yesAdj); per decoder mask the check is a
-// loop-bit test plus an allocation-free bitmask BFS 2-coloring.
-func (s *decoderSpace) hiding(mask int, yes []core.Instance) bool {
-	ca := s.yesAdj(yes)
-	acc := uint64(mask)
-	if ca.loops&acc != 0 {
+// the yes corpus contains an odd cycle (including a self-loop): a loop-bit
+// test plus an allocation-free bitmask BFS 2-coloring.
+func (s *decoderSpace) hiding(mask uint64) bool {
+	if s.loops&mask != 0 {
 		return true
 	}
 	var nadj [64]uint64
-	for f := acc; f != 0; f &= f - 1 {
+	for f := mask; f != 0; f &= f - 1 {
 		c := bits.TrailingZeros64(f)
-		nadj[c] = ca.adj[c] & acc
+		nadj[c] = s.adj[c] & mask
 	}
-	return !maskBipartite(acc, &nadj)
-}
-
-// yesAdj returns the class-level adjacency of the yes corpus, computed on
-// first use and cached (hiding is probed once per sampled decoder mask over
-// a fixed corpus). Corpora are identified by their first instance; each
-// decoderSpace only ever sees one.
-func (s *decoderSpace) yesAdj(yes []core.Instance) *classAdj {
-	if ca, ok := s.adjCache[&yes[0]]; ok {
-		return ca
-	}
-	ca := &classAdj{}
-	for _, inst := range yes {
-		vec := s.vecs[inst.Prt]
-		for _, e := range inst.G.Edges() {
-			a, b := vec[e[0]], vec[e[1]]
-			if a == b {
-				ca.loops |= 1 << uint(a)
-				continue
-			}
-			ca.adj[a] |= 1 << uint(b)
-			ca.adj[b] |= 1 << uint(a)
-		}
-	}
-	s.adjCache[&yes[0]] = ca
-	return ca
+	return !maskBipartite(mask, &nadj)
 }
 
 // maskBipartite 2-colors the graph on the node bitmask whose rows are adj

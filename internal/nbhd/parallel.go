@@ -51,7 +51,7 @@ import (
 // class), nbhd.shards.done/stolen, plus the nbhd.intern.classes
 // and nbhd.views.accepting gauges and the nbhd.build.duration_ns histogram.
 func Build(ctx context.Context, sc obs.Scope, d core.Decoder, se ShardedEnumerator, shards, workers int) (*NGraph, error) {
-	shards, workers = resolveShardsWorkers(shards, workers)
+	shards, workers = core.ResolveShardsWorkers(shards, workers)
 	start := obs.Now()
 	span := sc.Span(sc.Label("nbhd.build"))
 	span.SetAttr("shards", fmt.Sprint(shards))

@@ -3,7 +3,6 @@ package nbhd
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -65,24 +64,6 @@ func subList[T any](xs []T, i, k int) []T {
 	return out
 }
 
-// defaultShardCount oversubscribes workers so that the work-stealing drivers
-// can smooth uneven shard costs: a worker finishing a cheap shard steals the
-// next unclaimed one.
-const shardsPerWorker = 4
-
-func resolveShardsWorkers(shards, workers int) (int, int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if shards <= 0 {
-		shards = shardsPerWorker * workers
-	}
-	if workers > shards {
-		workers = shards
-	}
-	return shards, workers
-}
-
 // forEachShard drives the shards of se through a pool of workers. Workers
 // claim unstarted shards from a shared counter (work stealing), so fn must
 // be safe for concurrent calls from different worker indices; calls with
@@ -100,7 +81,7 @@ func resolveShardsWorkers(shards, workers int) (int, int) {
 // wraps context.Cause(ctx). The engine layer re-tags such errors as
 // engine.ErrCancelled.
 func forEachShard(ctx context.Context, sc obs.Scope, se ShardedEnumerator, shards, workers int, fn func(worker int, l core.Labeled) bool) error {
-	shards, workers = resolveShardsWorkers(shards, workers)
+	shards, workers = core.ResolveShardsWorkers(shards, workers)
 	enums := se.Shards(shards)
 	shardsDone := sc.Counter("nbhd.shards.done")
 	shardsStolen := sc.Counter("nbhd.shards.stolen")

@@ -106,6 +106,79 @@ func TestServerTraceEndpoint(t *testing.T) {
 	}
 }
 
+// readVars scrapes /debug/vars and returns the registry snapshot it holds.
+func readVars(t *testing.T, url string) []obs.MetricSnapshot {
+	t.Helper()
+	code, body := get(t, url+"/debug/vars")
+	if code != http.StatusOK {
+		t.Fatalf("/debug/vars status = %d", code)
+	}
+	var doc struct {
+		Metrics []obs.MetricSnapshot `json:"hidinglcp.metrics"`
+	}
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatalf("/debug/vars body is not JSON: %v\n%s", err, body)
+	}
+	return doc.Metrics
+}
+
+// TestServerDebugVars pins the /debug/vars shape: a JSON object whose
+// "hidinglcp.metrics" member is the registry snapshot, computed per request.
+func TestServerDebugVars(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.Counter("demo.count").Add(7)
+	srv := newTestServer(t, ServerOptions{Registry: reg}, nil, nil)
+
+	got := readVars(t, srv.URL)
+	if len(got) != 1 || got[0].Name != "demo.count" || got[0].Value != 7 {
+		t.Errorf("snapshot = %+v", got)
+	}
+	// Live: a later scrape sees later registry state, no expvar caching.
+	reg.Counter("demo.count").Add(3)
+	if got := readVars(t, srv.URL); got[0].Value != 10 {
+		t.Errorf("second snapshot = %+v, want value 10", got)
+	}
+}
+
+// TestServerPprofIndex checks the pprof index is wired on the server's own
+// mux (not http.DefaultServeMux).
+func TestServerPprofIndex(t *testing.T) {
+	srv := newTestServer(t, ServerOptions{Registry: obs.NewRegistry()}, nil, nil)
+	code, body := get(t, srv.URL+"/debug/pprof/")
+	if code != http.StatusOK {
+		t.Fatalf("/debug/pprof/ status = %d", code)
+	}
+	if body == "" {
+		t.Error("pprof index returned an empty body")
+	}
+}
+
+// TestServeIsolatedRegistries runs two telemetry servers in one process
+// and checks each serves its own registry at /debug/vars: with routes on
+// http.DefaultServeMux, the second server would hijack the first one's.
+func TestServeIsolatedRegistries(t *testing.T) {
+	mk := func(name string, v int64) *Server {
+		reg := obs.NewRegistry()
+		reg.Counter(name).Add(v)
+		s, err := Serve("127.0.0.1:0", ServerOptions{Registry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() }) //nolint:errcheck
+		return s
+	}
+	a, b := mk("server.a", 1), mk("server.b", 2)
+	for _, tc := range []struct {
+		s    *Server
+		want string
+	}{{a, "server.a"}, {b, "server.b"}} {
+		got := readVars(t, "http://"+tc.s.Addr())
+		if len(got) != 1 || got[0].Name != tc.want {
+			t.Errorf("server %s serves %+v, want its own counter %q", tc.s.Addr(), got, tc.want)
+		}
+	}
+}
+
 // TestServerEventsSSE pins the /events framing: the retained tail replays
 // as "event: log" + "data: <json>" + blank line, then live events stream.
 func TestServerEventsSSE(t *testing.T) {
