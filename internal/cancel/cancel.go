@@ -1,10 +1,15 @@
-// Package cancel is the cooperative-cancellation primitive shared by the
-// parallel pipelines (nbhd.Build, the core soundness sweeps,
-// sim.GatherFaultsCtx). The pipelines already stop their workers through a
-// plain atomic flag checked at shard/instance/round checkpoints; this
-// package bridges a context.Context onto such a flag without adding
-// anything to the hot path: a single watcher goroutine arms the flag when
-// the context fires and is released when the pipeline finishes.
+// Package cancel holds the worker pool and the cooperative-cancellation
+// primitive shared by the parallel pipelines (nbhd.Build, the core
+// soundness sweeps, the experiment item sweeps, sim.GatherFaultsCtx).
+//
+// Each is the one work-stealing pool: workers claim indices from a shared
+// counter, stop on one atomic flag, and drain through a barrier before the
+// call returns. ResolveShardsWorkers applies the shard/worker defaults the
+// sharded drivers share. The pipelines stop their workers through that
+// plain atomic flag, checked at shard/instance/round checkpoints; Watch
+// bridges a context.Context onto such a flag without adding anything to
+// the hot path: a single watcher goroutine arms the flag when the context
+// fires and is released when the pipeline finishes.
 //
 // A nil context is the never-cancelled context everywhere in this package,
 // so callers inside the pipelines (the ExhaustiveStrongSoundness oracle,

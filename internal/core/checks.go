@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync/atomic"
 
 	"hidinglcp/internal/cancel"
@@ -106,27 +105,6 @@ func exhaustiveSequential(ctx context.Context, sc obs.Scope, d Decoder, lang Lan
 		return err
 	}
 	return violation
-}
-
-// FuzzStrongSoundness checks strong soundness of d against trials random
-// labelings of inst, with labels drawn by gen (which receives the node and
-// the rng). It returns the first violation found, or nil.
-func FuzzStrongSoundness(d Decoder, lang Language, inst Instance, trials int, rng *rand.Rand, gen func(node int, rng *rand.Rand) string) error {
-	n := inst.G.N()
-	sweep, err := newLabelSweep(d, lang, inst, nil)
-	if err != nil {
-		return fmt.Errorf("extracting views: %w", err)
-	}
-	for t := 0; t < trials; t++ {
-		labels := make([]string, n)
-		for v := range labels {
-			labels[v] = gen(v, rng)
-		}
-		if err := sweep.checkLabels(labels); err != nil {
-			return fmt.Errorf("trial %d: %w", t, err)
-		}
-	}
-	return nil
 }
 
 // CheckAnonymous tests that the decoder's outputs on the labeled instance do

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"hidinglcp/internal/graph"
+	"hidinglcp/internal/obs"
 	"hidinglcp/internal/view"
 )
 
@@ -221,7 +222,7 @@ func TestFuzzStrongSoundness(t *testing.T) {
 	gen := func(_ int, rng *rand.Rand) string {
 		return []string{"0", "1", "junk"}[rng.Intn(3)]
 	}
-	if err := FuzzStrongSoundness(d, lang, NewInstance(graph.Petersen()), 200, rng, gen); err != nil {
+	if err := FuzzStrongSoundness(obs.Scope{}, d, lang, NewInstance(graph.Petersen()), 200, rng, gen, 1); err != nil {
 		t.Errorf("fuzz strong soundness: %v", err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -13,27 +12,6 @@ import (
 	"hidinglcp/internal/graph"
 	"hidinglcp/internal/obs"
 )
-
-// shardsPerWorker oversubscribes workers so that the work-stealing drivers
-// can smooth uneven shard costs: a worker finishing a cheap shard steals the
-// next unclaimed one.
-const shardsPerWorker = 4
-
-// ResolveShardsWorkers applies the defaults every sharded driver shares:
-// workers <= 0 selects GOMAXPROCS, shards <= 0 selects 4 per worker, and
-// workers never exceed shards.
-func ResolveShardsWorkers(shards, workers int) (int, int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if shards <= 0 {
-		shards = shardsPerWorker * workers
-	}
-	if workers > shards {
-		workers = shards
-	}
-	return shards, workers
-}
 
 // minViolation keeps the least-ranked violation a worker pool reports.
 // Workers read bound without locking, to prune work that could only rank
@@ -93,14 +71,14 @@ func (m *minViolation) min() (uint64, error) {
 //
 // A nil ctx is the never-cancelled context (internal/cancel). When ctx
 // fires, every worker abandons its current shard at the next labeling
-// checkpoint, the pool drains through the WaitGroup barrier (no goroutine
+// checkpoint, the cancel.Each pool drains through its barrier (no goroutine
 // outlives the call — pinned by
 // sanitize.ProbeExhaustiveStrongSoundnessParallelCancel), and the error
 // wraps context.Cause(ctx). A cancelled search never reports a violation:
 // its partial answer would depend on scheduling.
 func ExhaustiveStrongSoundnessParallelCtx(ctx context.Context, sc obs.Scope, d Decoder, lang Language, inst Instance, alphabet []string, shards, workers int) error {
 	n := inst.G.N()
-	shards, workers = ResolveShardsWorkers(shards, workers)
+	shards, workers = cancel.ResolveShardsWorkers(shards, workers)
 	if workers == 1 || shards == 1 || !graph.LabelingRankFits(n, len(alphabet)) {
 		sc.Counter("core.sweep.sequential_fallback").Inc()
 		return exhaustiveSequential(ctx, sc, d, lang, inst, alphabet)
@@ -120,66 +98,52 @@ func ExhaustiveStrongSoundnessParallelCtx(ctx context.Context, sc obs.Scope, d D
 	pruned := sc.Counter("core.sweep.shards.pruned")
 
 	viol := newMinViolation()
+	// Each worker owns a sweep, built on its first claim: templates and
+	// verdict memos are per-worker, so workers never contend on them.
+	// Cancellation checkpoints sit at shard claims and at every labeling.
 	sweeps := make([]*labelSweep, workers)
-	// Cancellation checkpoints sit at shard claims and at every labeling:
-	// the watcher arms the flag when ctx fires, workers abandon their
-	// current shard position, and the WaitGroup barrier drains the pool.
-	var aborted atomic.Bool
-	release := cancel.Watch(ctx, &aborted)
-	defer release()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Each worker owns a sweep: templates and verdict memos are
-			// per-goroutine, so workers never contend on them.
-			sweep, serr := newLabelSweep(d, lang, inst, alphabet)
-			if serr != nil {
+	cerr := cancel.Each(ctx, "exhaustive soundness sweep", shards, workers, func(w, s int, stop *atomic.Bool) {
+		sweep := sweeps[w]
+		if sweep == nil {
+			var serr error
+			if sweep, serr = newLabelSweep(d, lang, inst, alphabet); serr != nil {
 				viol.record(0, fmt.Errorf("extracting views: %w", serr))
+				stop.Store(true)
 				return
 			}
 			sweeps[w] = sweep
-			for {
-				s := int(next.Add(1)) - 1
-				if s >= shards || aborted.Load() {
-					return
-				}
-				graph.EnumLabelingsShard(n, len(alphabet), s, shards, func(idx []int) bool {
-					if aborted.Load() {
-						return false
-					}
-					r := graph.LabelingRank(idx, len(alphabet))
-					// Ranks increase within a shard, so everything past the
-					// best violation is prunable: any violation there would
-					// rank higher and lose to the recorded one anyway.
-					if r >= viol.bound() {
-						pruned.Inc()
-						return false
-					}
-					if err := sweep.check(idx); err != nil {
-						viol.record(r, err)
-						return false
-					}
-					return true
-				})
-				shardsDone.Inc()
-				sc.Prog().Add(1)
+		}
+		graph.EnumLabelingsShard(n, len(alphabet), s, shards, func(idx []int) bool {
+			if stop.Load() {
+				return false
 			}
-		}(w)
-	}
-	wg.Wait()
+			r := graph.LabelingRank(idx, len(alphabet))
+			// Ranks increase within a shard, so everything past the
+			// best violation is prunable: any violation there would
+			// rank higher and lose to the recorded one anyway.
+			if r >= viol.bound() {
+				pruned.Inc()
+				return false
+			}
+			if err := sweep.check(idx); err != nil {
+				viol.record(r, err)
+				return false
+			}
+			return true
+		})
+		shardsDone.Inc()
+		sc.Prog().Add(1)
+	})
 	for _, sweep := range sweeps {
 		sweep.harvest(sc)
 	}
-	if err := cancel.Err(ctx, "exhaustive soundness sweep"); err != nil {
+	if cerr != nil {
 		sc.Counter("core.sweep.cancelled").Inc()
 		if sc.EventsEnabled() {
 			sc.EmitSpanEvent(span, obs.LevelWarn, "core.sweep.cancelled",
 				obs.Fi("shards", int64(shards)))
 		}
-		return err
+		return cerr
 	}
 
 	r, err := viol.min()
@@ -201,22 +165,22 @@ func ExhaustiveStrongSoundnessParallelCtx(ctx context.Context, sc obs.Scope, d D
 	return err
 }
 
-// FuzzStrongSoundnessParallel is FuzzStrongSoundness with the trials
-// checked by a worker pool. The labelings are pre-drawn from rng in
-// sequential trial order — the identical random stream the sequential
-// fuzzer consumes — and the violation at the lowest trial index is
-// reported, so the result matches FuzzStrongSoundness exactly. (When a
-// violation exists, the sequential fuzzer stops drawing at the violating
-// trial while this one has already drawn all of them, so the final rng
-// positions differ; the reported violation does not.) Trials advance sc's
-// progress phase, and the per-worker sweep tallies are harvested into sc
-// after the worker barrier; a zero Scope makes every instrument call a
+// FuzzStrongSoundness checks strong soundness of d against trials random
+// labelings of inst, with labels drawn by gen (which receives the node and
+// the rng), on a pool of workers (<= 0 selects GOMAXPROCS). The labelings
+// are drawn from rng up front in trial order, so the random stream does not
+// depend on workers, and the violation at the lowest trial index is
+// reported: the result is the same at every worker count, and matches the
+// naive trial-by-trial CheckStrongSoundness replay (sweep_test.go). The
+// rng is always advanced past every trial, violation or not.
+//
+// Trials advance sc's progress phase and count into
+// core.fuzz.trials.checked; the per-worker sweep tallies are harvested into
+// sc after the worker barrier. A zero Scope makes every instrument call a
 // no-op.
-func FuzzStrongSoundnessParallel(sc obs.Scope, d Decoder, lang Language, inst Instance, trials int, rng *rand.Rand, gen func(node int, rng *rand.Rand) string, workers int) error {
+func FuzzStrongSoundness(sc obs.Scope, d Decoder, lang Language, inst Instance, trials int, rng *rand.Rand, gen func(node int, rng *rand.Rand) string, workers int) error {
 	n := inst.G.N()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	_, workers = cancel.ResolveShardsWorkers(trials, workers)
 	span := sc.Span(sc.Label("core.fuzz"))
 	span.SetAttr("trials", fmt.Sprint(trials))
 	span.SetAttr("workers", fmt.Sprint(workers))
@@ -236,39 +200,30 @@ func FuzzStrongSoundnessParallel(sc obs.Scope, d Decoder, lang Language, inst In
 
 	viol := newMinViolation()
 	sweeps := make([]*labelSweep, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sweep, serr := newLabelSweep(d, lang, inst, nil)
-			if serr == nil {
-				sweeps[w] = sweep
+	// A nil ctx never fires, so Each can only return nil here.
+	_ = cancel.Each(nil, "fuzz soundness sweep", trials, workers, func(w, t int, stop *atomic.Bool) {
+		// Trials are claimed in increasing order, so once t passes the
+		// best violation every later claim does too.
+		if uint64(t) >= viol.bound() {
+			stop.Store(true)
+			return
+		}
+		var err error
+		if sweeps[w] == nil {
+			sweeps[w], err = newLabelSweep(d, lang, inst, nil)
+			if err != nil {
+				err = fmt.Errorf("extracting views: %w", err)
 			}
-			for {
-				t := next.Add(1) - 1
-				// Trials are claimed in increasing order, so once t passes
-				// the best violation every later claim does too.
-				if t >= int64(trials) || uint64(t) >= viol.bound() {
-					return
-				}
-				var err error
-				if serr != nil {
-					err = fmt.Errorf("extracting views: %w", serr)
-				} else {
-					err = sweep.checkLabels(drawn[t])
-				}
-				trialsChecked.Inc()
-				sc.Prog().Add(1)
-				if err != nil {
-					viol.record(uint64(t), err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
+		}
+		if err == nil {
+			err = sweeps[w].checkLabels(drawn[t])
+		}
+		trialsChecked.Inc()
+		sc.Prog().Add(1)
+		if err != nil {
+			viol.record(uint64(t), err)
+		}
+	})
 	for _, sweep := range sweeps {
 		sweep.harvest(sc)
 	}

@@ -105,28 +105,38 @@ func TestExhaustiveParallelFirstViolation(t *testing.T) {
 	}
 }
 
+// TestFuzzParallelMatchesSequential pins FuzzStrongSoundness at several
+// worker counts to its one-worker run, which claims every trial in order on
+// the calling goroutine, and that run to the naive trial-by-trial replay.
 func TestFuzzParallelMatchesSequential(t *testing.T) {
 	alphabet := []string{"0", "1", "x"}
 	gen := func(_ int, rng *rand.Rand) string { return alphabet[rng.Intn(len(alphabet))] }
 	cases := []struct {
-		name string
-		d    Decoder
-		inst Instance
+		name      string
+		d         Decoder
+		inst      Instance
+		violation bool
 	}{
-		{"reveal-sound/petersen", revealDecoder(), NewInstance(graph.Petersen())},
-		{"center-nonzero/C5", centerNonzeroDecoder(), NewInstance(graph.MustCycle(5))},
+		{"reveal-sound/petersen", revealDecoder(), NewInstance(graph.Petersen()), false},
+		{"center-nonzero/C5", centerNonzeroDecoder(), NewInstance(graph.MustCycle(5)), true},
+	}
+	errString := func(err error) string {
+		if err == nil {
+			return "<nil>"
+		}
+		return err.Error()
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			for _, workers := range []int{0, 1, 2, 7} {
-				seqErr := FuzzStrongSoundness(c.d, TwoCol(), c.inst, 200, rand.New(rand.NewSource(42)), gen)
-				parErr := FuzzStrongSoundnessParallel(obs.Scope{}, c.d, TwoCol(), c.inst, 200, rand.New(rand.NewSource(42)), gen, workers)
-				switch {
-				case seqErr == nil && parErr == nil:
-				case seqErr == nil || parErr == nil:
-					t.Fatalf("workers=%d: sequential err %v, parallel err %v", workers, seqErr, parErr)
-				case seqErr.Error() != parErr.Error():
-					t.Fatalf("workers=%d: sequential %q != parallel %q", workers, seqErr, parErr)
+			ref := referenceFuzz(c.d, TwoCol(), c.inst, 200, rand.New(rand.NewSource(42)), gen)
+			seq := FuzzStrongSoundness(obs.Scope{}, c.d, TwoCol(), c.inst, 200, rand.New(rand.NewSource(42)), gen, 1)
+			if (seq != nil) != c.violation || errString(seq) != errString(ref) {
+				t.Fatalf("workers=1: %v, naive replay: %v (want violation: %v)", seq, ref, c.violation)
+			}
+			for _, workers := range []int{0, 2, 7} {
+				par := FuzzStrongSoundness(obs.Scope{}, c.d, TwoCol(), c.inst, 200, rand.New(rand.NewSource(42)), gen, workers)
+				if errString(par) != errString(seq) {
+					t.Fatalf("workers=%d: %v != workers=1: %v", workers, par, seq)
 				}
 			}
 		})

@@ -86,7 +86,7 @@ func TestDegreeOneStrongSoundnessFuzz(t *testing.T) {
 		graph.Grid(3, 3),
 	} {
 		inst := core.NewAnonymousInstance(g)
-		if err := core.FuzzStrongSoundness(s.Decoder, s.Promise.Lang, inst, 500, rng, gen); err != nil {
+		if err := core.FuzzStrongSoundness(obs.Scope{}, s.Decoder, s.Promise.Lang, inst, 500, rng, gen, 1); err != nil {
 			t.Errorf("fuzz on %v: %v", g, err)
 		}
 	}

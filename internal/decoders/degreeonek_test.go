@@ -71,7 +71,7 @@ func TestDegreeOneKStrongSoundnessFuzz(t *testing.T) {
 		graph.Petersen(),
 	} {
 		inst := core.NewAnonymousInstance(g)
-		if err := core.FuzzStrongSoundness(s.Decoder, s.Promise.Lang, inst, 700, rng, gen); err != nil {
+		if err := core.FuzzStrongSoundness(obs.Scope{}, s.Decoder, s.Promise.Lang, inst, 700, rng, gen, 1); err != nil {
 			t.Errorf("fuzz on %v: %v", g, err)
 		}
 	}

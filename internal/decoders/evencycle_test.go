@@ -66,7 +66,7 @@ func TestEvenCycleStrongSoundnessFuzz(t *testing.T) {
 		graph.Complete(4), graph.MustWatermelon([]int{2, 3}),
 	} {
 		inst := core.NewAnonymousInstance(g)
-		if err := core.FuzzStrongSoundness(s.Decoder, s.Promise.Lang, inst, 600, rng, gen); err != nil {
+		if err := core.FuzzStrongSoundness(obs.Scope{}, s.Decoder, s.Promise.Lang, inst, 600, rng, gen, 1); err != nil {
 			t.Errorf("fuzz on %v: %v", g, err)
 		}
 	}

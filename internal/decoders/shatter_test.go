@@ -71,7 +71,7 @@ func TestShatterStrongSoundnessFuzz(t *testing.T) {
 		graph.Complete(4), graph.MustWatermelon([]int{2, 3}), graph.Grid(3, 3),
 	} {
 		inst := core.NewInstance(g)
-		if err := core.FuzzStrongSoundness(s.Decoder, s.Promise.Lang, inst, 800, rng, gen); err != nil {
+		if err := core.FuzzStrongSoundness(obs.Scope{}, s.Decoder, s.Promise.Lang, inst, 800, rng, gen, 1); err != nil {
 			t.Errorf("fuzz on %v: %v", g, err)
 		}
 	}

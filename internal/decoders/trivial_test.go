@@ -118,7 +118,7 @@ func TestTrivialFuzzStrongSoundness(t *testing.T) {
 	}
 	for _, g := range []*graph.Graph{graph.Petersen(), graph.Complete(5)} {
 		inst := core.NewAnonymousInstance(g)
-		if err := core.FuzzStrongSoundness(s.Decoder, s.Promise.Lang, inst, 300, rng, gen); err != nil {
+		if err := core.FuzzStrongSoundness(obs.Scope{}, s.Decoder, s.Promise.Lang, inst, 300, rng, gen, 1); err != nil {
 			t.Errorf("fuzz on %v: %v", g, err)
 		}
 	}

@@ -75,7 +75,7 @@ func TestUnionStrongSoundnessFuzzMixed(t *testing.T) {
 		graph.MustWatermelon([]int{2, 3}), graph.Complete(4),
 	} {
 		inst := core.NewAnonymousInstance(g)
-		if err := core.FuzzStrongSoundness(s.Decoder, s.Promise.Lang, inst, 800, rng, gen); err != nil {
+		if err := core.FuzzStrongSoundness(obs.Scope{}, s.Decoder, s.Promise.Lang, inst, 800, rng, gen, 1); err != nil {
 			t.Errorf("fuzz on %v: %v", g, err)
 		}
 	}

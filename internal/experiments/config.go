@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -85,50 +84,17 @@ func configuredFaultPlan() (faults.Plan, bool) {
 	return faultPlan.plan, faultPlan.plan.Active()
 }
 
-// parallelEach runs fn(0..n-1) on the configured number of workers. fn must
-// be safe for concurrent calls on distinct indices; any aggregation across
-// indices is the caller's job and must be order-insensitive (or sorted
-// afterwards) to keep experiment tables deterministic.
+// parallelEach runs fn(0..n-1) on the configured number of workers through
+// cancel.Each. fn must be safe for concurrent calls on distinct indices;
+// any aggregation across indices is the caller's job and must be
+// order-insensitive (or sorted afterwards) to keep experiment tables
+// deterministic.
 //
 // When ctx fires, no further indices are claimed (items already running
 // finish), the pool drains, and the error wraps context.Cause(ctx). A nil
 // ctx is the never-cancelled context, and the return is then always nil.
 func parallelEach(ctx context.Context, n int, fn func(i int)) error {
 	_, workers := parShardsWorkers()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
 	defer scope().Counter("experiments.parallel_each.items").Add(int64(n))
-	var aborted atomic.Bool
-	release := cancel.Watch(ctx, &aborted)
-	defer release()
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if aborted.Load() {
-				break
-			}
-			fn(i)
-		}
-		return cancel.Err(ctx, "experiment item sweep")
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || aborted.Load() {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return cancel.Err(ctx, "experiment item sweep")
+	return cancel.Each(ctx, "experiment item sweep", n, workers, func(_, i int, _ *atomic.Bool) { fn(i) })
 }

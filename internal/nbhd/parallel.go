@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"hidinglcp/internal/cancel"
 	"hidinglcp/internal/core"
 	"hidinglcp/internal/obs"
 	"hidinglcp/internal/view"
@@ -33,7 +34,7 @@ import (
 //
 // A nil ctx is the never-cancelled context (internal/cancel). When ctx
 // fires, every worker stops at its next per-instance checkpoint, the pool
-// drains through the WaitGroup barrier (no goroutine outlives the call —
+// drains through the cancel.Each barrier (no goroutine outlives the call —
 // pinned by sanitize.ProbeBuildShardedCancel), and the error wraps
 // context.Cause(ctx); no partial graph is returned. A context that never
 // fires adds one watcher goroutine and nothing to the per-instance hot
@@ -51,7 +52,7 @@ import (
 // class), nbhd.shards.done/stolen, plus the nbhd.intern.classes
 // and nbhd.views.accepting gauges and the nbhd.build.duration_ns histogram.
 func Build(ctx context.Context, sc obs.Scope, d core.Decoder, se ShardedEnumerator, shards, workers int) (*NGraph, error) {
-	shards, workers = core.ResolveShardsWorkers(shards, workers)
+	shards, workers = cancel.ResolveShardsWorkers(shards, workers)
 	start := obs.Now()
 	span := sc.Span(sc.Label("nbhd.build"))
 	span.SetAttr("shards", fmt.Sprint(shards))

@@ -2,8 +2,6 @@ package nbhd
 
 import (
 	"context"
-	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"hidinglcp/internal/cancel"
@@ -74,85 +72,67 @@ func subList[T any](xs []T, i, k int) []T {
 //
 // sc counts completed and stolen shards (a steal is any claim beyond a
 // worker's first), advances the scope's progress phase by one per finished
-// shard, and emits a per-shard completion event when a tracer is attached.
+// shard, and emits a per-shard completion event when an event sink is
+// attached.
 // A nil ctx is the never-cancelled context (internal/cancel); when ctx
 // fires, the drive stops at the next per-instance checkpoint — the same
 // stop flag every worker already polls between instances — and the error
 // wraps context.Cause(ctx). The engine layer re-tags such errors as
 // engine.ErrCancelled.
 func forEachShard(ctx context.Context, sc obs.Scope, se ShardedEnumerator, shards, workers int, fn func(worker int, l core.Labeled) bool) error {
-	shards, workers = core.ResolveShardsWorkers(shards, workers)
+	shards, workers = cancel.ResolveShardsWorkers(shards, workers)
 	enums := se.Shards(shards)
 	shardsDone := sc.Counter("nbhd.shards.done")
 	shardsStolen := sc.Counter("nbhd.shards.stolen")
 	sc.Gauge("nbhd.shards.total").Set(int64(len(enums)))
 	sc.Gauge("nbhd.workers").Set(int64(workers))
 	errs := make([]error, len(enums))
-	var next atomic.Int64
-	var stop atomic.Bool
-	// Cancellation rides the existing stop flag: the watcher arms it when
-	// ctx fires, every worker observes it at its next instance (the same
-	// checkpoint early-stopping fn returns use), and the release reclaims
-	// the watcher before this function returns.
-	release := cancel.Watch(ctx, &stop)
-	defer release()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			claimed := 0
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(enums) || stop.Load() {
-					return
-				}
-				if claimed > 0 {
-					shardsStolen.Inc()
-				}
-				claimed++
-				err := enums[i](func(l core.Labeled) bool {
-					if stop.Load() {
-						return false
-					}
-					if !fn(w, l) {
-						stop.Store(true)
-						return false
-					}
-					return true
-				})
-				if err != nil {
-					errs[i] = err
-					stop.Store(true)
-					return
-				}
-				shardsDone.Inc()
-				sc.Prog().Add(1)
-				sc.Event("shard.done", fmt.Sprintf("shard %d/%d on worker %d", i+1, len(enums), w))
-				if sc.EventsEnabled() {
-					// Per-shard, not per-instance: the event log sees O(shards)
-					// appends for a build, never the hot enumeration path.
-					sc.EmitEvent(obs.LevelDebug, "nbhd.shard.done",
-						obs.Fi("shard", int64(i)),
-						obs.Fi("worker", int64(w)),
-						obs.Fi("stolen", int64(claimed-1)))
-				}
+	claimed := make([]int, workers)
+	// Cancellation rides the pool's stop flag: every worker observes it at
+	// its next instance, the same checkpoint early-stopping fn returns use.
+	cerr := cancel.Each(ctx, "sharded enumeration", len(enums), workers, func(w, i int, stop *atomic.Bool) {
+		if claimed[w] > 0 {
+			shardsStolen.Inc()
+		}
+		claimed[w]++
+		err := enums[i](func(l core.Labeled) bool {
+			if stop.Load() {
+				return false
 			}
-		}(w)
-	}
-	wg.Wait()
+			if !fn(w, l) {
+				stop.Store(true)
+				return false
+			}
+			return true
+		})
+		if err != nil {
+			errs[i] = err
+			stop.Store(true)
+			return
+		}
+		shardsDone.Inc()
+		sc.Prog().Add(1)
+		if sc.EventsEnabled() {
+			// Per-shard, not per-instance: the event log sees O(shards)
+			// appends for a build, never the hot enumeration path.
+			sc.EmitEvent(obs.LevelDebug, "nbhd.shard.done",
+				obs.Fi("shard", int64(i)),
+				obs.Fi("worker", int64(w)),
+				obs.Fi("stolen", int64(claimed[w]-1)))
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
-	if err := cancel.Err(ctx, "sharded enumeration"); err != nil {
+	if cerr != nil {
 		sc.Counter("nbhd.shards.cancelled").Inc()
 		if sc.EventsEnabled() {
 			sc.EmitEvent(obs.LevelWarn, "nbhd.enumeration.cancelled",
 				obs.Fi("shards", int64(len(enums))))
 		}
-		return err
+		return cerr
 	}
 	return nil
 }

@@ -21,7 +21,6 @@ func goldenManifest() *RunManifest {
 	h := sc.Histogram("nbhd.build.duration_ns")
 	h.Observe(1500)
 	h.Observe(2500)
-	sc.Event("note", "golden fixture")
 
 	m := NewManifest("experiments", []string{"-run", "e04"})
 	m.SetConfig("shards", "16")
@@ -35,9 +34,6 @@ func goldenManifest() *RunManifest {
 	m.StartUnixNS = 1700000000000000000
 	m.EndUnixNS = 1700000001500000000
 	m.DurationNS = m.EndUnixNS - m.StartUnixNS
-	for i := range m.Events {
-		m.Events[i].TimeUnixNS = 1700000000100000000
-	}
 	return m
 }
 

@@ -38,7 +38,6 @@ func TestConcurrentScopeHammer(t *testing.T) {
 					child := root.Child("batch")
 					child.SetAttr("i", fmt.Sprint(i))
 					child.End()
-					sc.Event("batch", fmt.Sprintf("w%d i%d", w, i))
 				}
 				sc.Prog().Add(1)
 			}
@@ -66,7 +65,6 @@ func TestConcurrentScopeHammer(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		_ = sc.Registry().Snapshot()
 		_ = sc.Tracer().Spans()
-		_ = sc.Tracer().Events()
 	}
 	wg2.Wait()
 }

@@ -1,10 +1,11 @@
 package obs
 
 // Scope is the observability handle the pipelines thread through their hot
-// paths: a Registry for metrics, an optional Tracer for spans and events,
-// an optional Progress for periodic status lines, and a name that prefixes
-// phase labels so concurrent consumers (lcpcheck schemes, experiments) can
-// be told apart in the output.
+// paths: a Registry for metrics, an optional Tracer for spans, an optional
+// EventSink for structured log events, an optional Progress for periodic
+// status lines, and a name that prefixes phase labels so concurrent
+// consumers (lcpcheck schemes, experiments) can be told apart in the
+// output.
 //
 // The zero value is a complete no-op — Enabled() is false, every metric
 // accessor returns nil (whose methods are nil-safe), Span returns a nil
@@ -25,8 +26,7 @@ func NewScope() Scope {
 	return Scope{reg: NewRegistry()}
 }
 
-// WithTracer returns a copy of the scope that records spans and events
-// through t.
+// WithTracer returns a copy of the scope that records spans through t.
 func (s Scope) WithTracer(t *Tracer) Scope {
 	s.tr = t
 	return s
@@ -88,13 +88,6 @@ func (s Scope) Span(name string) *Span {
 	return s.tr.Start(name, nil)
 }
 
-// Event records a point-in-time event into the tracer's ring buffer.
-func (s Scope) Event(name, detail string) {
-	if s.tr != nil {
-		s.tr.Event(name, detail)
-	}
-}
-
 // Prog returns the attached progress reporter; the nil Progress returned on
 // a plain scope accepts every method.
 func (s Scope) Prog() *Progress { return s.prog }
@@ -108,17 +101,7 @@ func (s Scope) EventsEnabled() bool { return s.sink != nil }
 // time, the run ID, and the scope's phase label. Without a sink it is a
 // no-op that never touches the fields.
 func (s Scope) EmitEvent(level Level, name string, fields ...Attr) {
-	if s.sink == nil {
-		return
-	}
-	s.sink.EmitLogEvent(LogEvent{
-		TimeUnixNS: Now(),
-		Level:      level,
-		Name:       name,
-		Run:        s.run,
-		Phase:      s.name,
-		Fields:     fields,
-	})
+	s.EmitSpanEvent(nil, level, name, fields...)
 }
 
 // EmitSpanEvent is EmitEvent correlated to an in-flight span (a nil span
